@@ -65,7 +65,12 @@ _KIND_BY_TOKEN = {k.value: k for k in GateKind}
 
 
 def normalize_angle(theta: float) -> float:
-    """Map an angle into [0, 2*pi). Idempotent and exact for in-range inputs."""
+    """Map an angle into [0, 2*pi). Idempotent and exact for in-range inputs.
+
+    Raises ValueError for NaN and infinite angles.
+    """
+    if not math.isfinite(theta):
+        raise ValueError(f"angle must be finite, got {theta!r}")
     out = math.fmod(theta, TWO_PI)
     if out < 0.0:
         out += TWO_PI
@@ -105,9 +110,7 @@ class GateOp:
             raise ValueError(f"{self.kind.value} qubit indices must be distinct")
         if any(q < 0 for q in self.qubits):
             raise ValueError("qubit indices must be non-negative")
-        object.__setattr__(
-            self, "angles", tuple(normalize_angle(a) for a in self.angles)
-        )
+        object.__setattr__(self, "angles", tuple(map(normalize_angle, self.angles)))
 
     @property
     def is_measure(self) -> bool:

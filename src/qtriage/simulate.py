@@ -2,9 +2,10 @@
 
 run_clifford: polynomial tableau simulation. Measurement outcomes of a
 stabilizer run are affine over GF(2) in the random branch bits (the X/Z
-structure never depends on drawn bits, and sign bits accumulate linearly),
-so the sampler recovers that affine map with k+1 probe simulations and then
-draws any number of shots as one binary matrix product.
+structure never depends on drawn bits, and sign bits accumulate linearly).
+The tableau carries each sign as such an affine form, so one pass with all
+draws zero yields the whole map, and any number of shots is then one binary
+matrix product.
 
 run_extended: exact dense expansion of each T gate into two Clifford branches
 (T = a*I + b*Z), evolving all 2^t branch statevectors and sampling from the
@@ -26,7 +27,14 @@ import numpy as np
 
 from .circuit import Circuit, GateKind, GateOp
 from .dense import gate_matrix
-from .tableau import CLIFFORD_KINDS, RegimeError, Tableau, apply_clifford, measure_with_source
+from .tableau import (
+    CLIFFORD_KINDS,
+    RegimeError,
+    Tableau,
+    apply_clifford,
+    check_tableau_budget,
+    measure_affine,
+)
 
 DEFAULT_T_MAX = 16
 
@@ -99,58 +107,50 @@ def _check_clifford_only(circuit: Circuit) -> None:
         )
 
 
-def _trace_outcomes(circuit: Circuit, forced_bits: np.ndarray) -> tuple[np.ndarray, int]:
-    """One tableau pass; the j-th random event consumes forced_bits[j] (0 beyond)."""
-    tab = Tableau(circuit.n_qubits)
-    outcomes: list[int] = []
-    counter = 0
-
-    def source() -> int:
-        nonlocal counter
-        bit = int(forced_bits[counter]) if counter < len(forced_bits) else 0
-        counter += 1
-        return bit
-
-    for g in circuit.gates():
-        if g.is_measure:
-            out, _ = measure_with_source(tab, g.qubits[0], source)
-            outcomes.append(out)
-        else:
-            apply_clifford(tab, g)
-    return np.array(outcomes, dtype=np.uint8), counter
-
-
 def run_clifford(circuit: Circuit, shots: int, seed: int) -> dict[str, int]:
-    """Histogram over measured bitstrings (measure-gate order), total = shots."""
+    """Histogram over measured bitstrings (measure-gate order), total = shots.
+
+    One tableau pass with every random draw zero gives the base outcomes and
+    each outcome's coefficients over the k random events; each shot then
+    draws k bits and reads its outcomes off that affine map.
+    """
     if shots < 1:
         raise ValueError("shots must be positive")
     _check_clifford_only(circuit)
-
-    base, n_random = _trace_outcomes(circuit, np.zeros(0, dtype=np.uint8))
-    n_meas = len(base)
+    n_meas = sum(1 for g in circuit.gates() if g.is_measure)
+    check_tableau_budget(circuit.n_qubits, n_meas)
     if n_meas == 0:
         return {"": shots}
 
+    tab = Tableau(circuit.n_qubits)
+    outcomes: list[int] = []
+    forms: list[np.ndarray] = []
+    for g in circuit.gates():
+        if g.is_measure:
+            out, _, form = measure_affine(tab, g.qubits[0], lambda: 0)
+            outcomes.append(out)
+            forms.append(form)
+        else:
+            apply_clifford(tab, g)
+    base = np.array(outcomes, dtype=np.uint8)
+    n_random = tab.random_events
     columns = np.zeros((n_meas, n_random), dtype=np.uint8)
-    for k in range(n_random):
-        probe = np.zeros(n_random, dtype=np.uint8)
-        probe[k] = 1
-        outcomes, n_again = _trace_outcomes(circuit, probe)
-        assert n_again == n_random, "random-event schedule must be input-independent"
-        columns[:, k] = outcomes ^ base
+    for row, form in zip(columns, forms):
+        row[: len(form)] = form
 
     rng = np.random.default_rng(seed)
     if n_random > 0:
         draws = rng.integers(0, 2, size=(shots, n_random), dtype=np.uint8)
-        bits = (draws.astype(np.int64) @ columns.T.astype(np.int64) + base) % 2
-        bits = bits.astype(np.uint8)
+        # float64 sums of 0/1 products are exact integers, and BLAS is fast
+        parity = draws.astype(np.float64) @ columns.T.astype(np.float64)
+        bits = (parity % 2).astype(np.uint8) ^ base
     else:
         bits = np.broadcast_to(base, (shots, n_meas))
 
     rows, counts = np.unique(bits, axis=0, return_counts=True)
+    text = (rows + ord("0")).tobytes().decode("ascii")
     return {
-        "".join("1" if b else "0" for b in row): int(c)
-        for row, c in zip(rows, counts)
+        text[i * n_meas : (i + 1) * n_meas]: int(c) for i, c in enumerate(counts)
     }
 
 

@@ -4,6 +4,25 @@ Rows 0..n-1 are destabilizers, rows n..2n-1 stabilizers; each row is a Pauli
 string as X-bit and Z-bit vectors plus a sign bit. Gate updates are O(n) row
 operations; measurement is O(n^2) worst case.
 
+Sign forms. Next to the sign vector ``r`` the tableau keeps a GF(2)
+coefficient matrix ``coef``: one row per tableau row, one column per random
+measurement event met so far. Had the random events drawn bits ``b ^ d``
+instead of the bits ``d`` they did draw, every stabilizer sign would read
+``r ^ (coef @ b) mod 2``: the X/Z structure, and so every phase correction a
+gate or rowsum adds, never depends on the drawn bits. Gates add constants
+only and leave ``coef`` alone; a rowsum XORs the source row's coefficients
+into its targets (stabilizer products have even phase, so this is exact); a
+random event gives its row a fresh unit column; a deterministic outcome's
+form is the XOR of the coefficient rows of the stabilizers it multiplies.
+Destabilizer signs never flow into stabilizer signs, so their forms are kept
+but carry no meaning. One pass with all-zero draws therefore yields every
+outcome as an affine function of the random bits (the reference-sample idea
+of Gidney's Stim, over the Aaronson-Gottesman tableau).
+
+Storage is one byte per bit: 2n x 2n bytes for X and Z plus 2n bytes per
+``coef`` column (columns are added by doubling as random events arrive),
+checked against MAX_TABLEAU_BYTES before anything is allocated.
+
 A Tableau is exclusively owned: concurrent mutation of one instance is
 forbidden. Workers should each hold their own copy (see ``Tableau.copy``).
 """
@@ -31,8 +50,22 @@ CLIFFORD_KINDS = frozenset(
 )
 
 
+# Largest X/Z tableau plus coefficient matrix one Tableau may hold, in bytes.
+MAX_TABLEAU_BYTES = 1 << 30
+
+
 class RegimeError(ValueError):
     """Gate outside this engine's regime (caller should use run_extended)."""
+
+
+def check_tableau_budget(n: int, random_events: int = 0) -> None:
+    """Raise ValueError if n qubits and that many random events overflow the budget."""
+    need = 2 * n * (2 * n + random_events)
+    if need > MAX_TABLEAU_BYTES:
+        raise ValueError(
+            f"a stabilizer tableau of {n} qubits with {random_events} random-event "
+            f"columns needs {need} bytes, past the {MAX_TABLEAU_BYTES}-byte budget"
+        )
 
 
 class Tableau:
@@ -41,6 +74,7 @@ class Tableau:
     def __init__(self, n: int) -> None:
         if n < 1:
             raise ValueError("n must be positive")
+        check_tableau_budget(n)
         self.n = n
         # destabilizers X_i then stabilizers Z_i
         self.x = np.zeros((2 * n, n), dtype=np.uint8)
@@ -48,6 +82,9 @@ class Tableau:
         self.r = np.zeros(2 * n, dtype=np.uint8)
         self.x[np.arange(n), np.arange(n)] = 1
         self.z[np.arange(n, 2 * n), np.arange(n)] = 1
+        # sign forms (see module docstring); columns past random_events are zero
+        self.coef = np.zeros((2 * n, 0), dtype=np.uint8)
+        self.random_events = 0
 
     def copy(self) -> "Tableau":
         out = Tableau.__new__(Tableau)
@@ -55,7 +92,22 @@ class Tableau:
         out.x = self.x.copy()
         out.z = self.z.copy()
         out.r = self.r.copy()
+        out.coef = self.coef.copy()
+        out.random_events = self.random_events
         return out
+
+    def _new_event(self) -> int:
+        """Column index for the next random event, widening coef as needed."""
+        k = self.random_events
+        if k == self.coef.shape[1]:
+            check_tableau_budget(self.n, k + 1)
+            fits = MAX_TABLEAU_BYTES // (2 * self.n) - 2 * self.n
+            width = min(max(2 * k, 8), fits)
+            grown = np.zeros((2 * self.n, width), dtype=np.uint8)
+            grown[:, :k] = self.coef
+            self.coef = grown
+        self.random_events = k + 1
+        return k
 
     def stabilizer_strings(self) -> list[str]:
         """Human-readable stabilizer generators, for tests and debugging."""
@@ -147,6 +199,7 @@ def _rowsum_into(tab: Tableau, targets: np.ndarray, src: int) -> None:
     tab.r[targets] = (phase == 2).astype(np.uint8)
     tab.x[targets] ^= tab.x[src]
     tab.z[targets] ^= tab.z[src]
+    tab.coef[targets] ^= tab.coef[src]
 
 
 def _product_sign(tab: Tableau, rows: np.ndarray) -> int:
@@ -175,15 +228,16 @@ def _product_sign(tab: Tableau, rows: np.ndarray) -> int:
     return int(ph[0] // 2) % 2
 
 
-def measure_with_source(
+def measure_affine(
     tab: Tableau, qubit: int, bit_source: Callable[[], int]
-) -> tuple[int, bool]:
+) -> tuple[int, bool, np.ndarray]:
     """Measure Z_qubit; random branches draw their bit from bit_source.
 
-    Returns (outcome, was_random). The random/deterministic split and the
-    whole X/Z structure update are independent of the drawn bits; only sign
-    bits depend on them (linearly over GF(2)), which the histogram sampler
-    exploits.
+    Returns (outcome, was_random, form): form holds the outcome's GF(2)
+    coefficients over the random events so far (length tab.random_events),
+    so flipping the drawn bits by b flips the outcome by form @ b mod 2. The
+    random/deterministic split and the whole X/Z structure update are
+    independent of the drawn bits.
     """
     n = tab.n
     if not 0 <= qubit < n:
@@ -198,17 +252,30 @@ def measure_with_source(
         tab.x[p - n] = tab.x[p]
         tab.z[p - n] = tab.z[p]
         tab.r[p - n] = tab.r[p]
+        tab.coef[p - n] = tab.coef[p]
         tab.x[p] = 0
         tab.z[p] = 0
         tab.z[p, qubit] = 1
         outcome = int(bit_source()) & 1
         tab.r[p] = outcome
-        return outcome, True
+        event = tab._new_event()
+        tab.coef[p] = 0
+        tab.coef[p, event] = 1
+        return outcome, True, tab.coef[p, : event + 1].copy()
     # deterministic: product of stabilizers indexed by destabilizer hits
     destab_hits = np.nonzero(tab.x[:n, qubit])[0]
     rows = destab_hits + n
     outcome = _product_sign(tab, rows)
-    return outcome, False
+    form = np.bitwise_xor.reduce(tab.coef[rows, : tab.random_events], axis=0)
+    return outcome, False, form
+
+
+def measure_with_source(
+    tab: Tableau, qubit: int, bit_source: Callable[[], int]
+) -> tuple[int, bool]:
+    """Measure Z_qubit; returns (outcome, was_random). See measure_affine."""
+    outcome, was_random, _ = measure_affine(tab, qubit, bit_source)
+    return outcome, was_random
 
 
 def measure(

@@ -4,6 +4,10 @@ The oracle here follows every measurement branch with its exact Born weight,
 so the sampling engines can be judged by total-variation distance against a
 ground truth that never samples. It is exponential in the number of measure
 gates; generators keep that small.
+
+``reference_run_clifford`` is the probe sampler the one-pass engine replaced:
+it re-runs the tableau once per random event and reads only concrete
+outcomes, never the sign forms the engine is checked on.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import pytest
 from qtriage.circuit import Circuit, GateKind, GateOp, gate
 from qtriage.dense import gate_matrix
 from qtriage.synthesis import ApproxTable, default_table
+from qtriage.tableau import Tableau, apply_clifford, measure_with_source
 
 
 @pytest.fixture(scope="session")
@@ -63,6 +68,59 @@ def exact_distribution(circuit: Circuit) -> dict[str, float]:
     for w, _, bits in branches:
         out[bits] = out.get(bits, 0.0) + w
     return out
+
+
+def _probe_outcomes(circuit: Circuit, forced_bits: np.ndarray) -> tuple[np.ndarray, int]:
+    """One tableau pass; the j-th random event consumes forced_bits[j] (0 beyond)."""
+    tab = Tableau(circuit.n_qubits)
+    outcomes: list[int] = []
+    counter = 0
+
+    def source() -> int:
+        nonlocal counter
+        bit = int(forced_bits[counter]) if counter < len(forced_bits) else 0
+        counter += 1
+        return bit
+
+    for g in circuit.gates():
+        if g.is_measure:
+            out, _ = measure_with_source(tab, g.qubits[0], source)
+            outcomes.append(out)
+        else:
+            apply_clifford(tab, g)
+    return np.array(outcomes, dtype=np.uint8), counter
+
+
+def reference_run_clifford(circuit: Circuit, shots: int, seed: int) -> dict[str, int]:
+    """run_clifford by k+1 tableau passes: a base pass, then one one-hot probe
+    per random event recovers each outcome's column of the affine map. Same
+    draws from the same seed, so histograms must match the engine exactly."""
+    base, n_random = _probe_outcomes(circuit, np.zeros(0, dtype=np.uint8))
+    n_meas = len(base)
+    if n_meas == 0:
+        return {"": shots}
+
+    columns = np.zeros((n_meas, n_random), dtype=np.uint8)
+    for k in range(n_random):
+        probe = np.zeros(n_random, dtype=np.uint8)
+        probe[k] = 1
+        outcomes, n_again = _probe_outcomes(circuit, probe)
+        assert n_again == n_random, "random-event schedule must be input-independent"
+        columns[:, k] = outcomes ^ base
+
+    rng = np.random.default_rng(seed)
+    if n_random > 0:
+        draws = rng.integers(0, 2, size=(shots, n_random), dtype=np.uint8)
+        bits = (draws.astype(np.int64) @ columns.T.astype(np.int64) + base) % 2
+        bits = bits.astype(np.uint8)
+    else:
+        bits = np.broadcast_to(base, (shots, n_meas))
+
+    rows, counts = np.unique(bits, axis=0, return_counts=True)
+    return {
+        "".join("1" if b else "0" for b in row): int(c)
+        for row, c in zip(rows, counts)
+    }
 
 
 def tv_distance(exact: dict[str, float], hist: dict[str, int], shots: int) -> float:

@@ -147,6 +147,11 @@ def test_normalize_angle() -> None:
     assert normalize_angle(2.0 * math.pi) == 0.0
     assert normalize_angle(-math.pi / 2.0) == pytest.approx(1.5 * math.pi)
     assert normalize_angle(7.0) == pytest.approx(7.0 - 2.0 * math.pi)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            normalize_angle(bad)
+        with pytest.raises(ValueError, match="angle must be finite"):
+            gate("u3", 0, angles=[0.0, bad, 0.0])
 
 
 @given(st.floats(-100.0, 100.0))

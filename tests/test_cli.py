@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 
 import pytest
 
@@ -286,6 +287,29 @@ def test_parse_error_diagnostics(capsys, tmp_path) -> None:
     code, _, err = _run(capsys, "simulate", f)
     assert code == 2
     assert err.startswith("error: line 2, col 1:")
+
+
+@pytest.mark.parametrize("angle_line", ["rz(nan) 0", "rz(inf) 0", "u3(0,-inf,0) 0"])
+@pytest.mark.parametrize("command", ["count", "advise", "simulate"])
+def test_non_finite_angle_names_its_position(capsys, tmp_path, command, angle_line) -> None:
+    f = _circuit_file(tmp_path, f"qubits 1\n{angle_line}\nmeasure 0\n")
+    code, out, err = _run(capsys, command, f)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 2, col 1:")
+    assert "angle must be finite" in err
+
+
+def test_oversized_tableau_is_refused_before_allocation(capsys, tmp_path) -> None:
+    f = _circuit_file(tmp_path, "qubits 3000000\nh 0\nmeasure 0\n")
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "simulate", f, "--shots", "10")
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "3000000 qubits" in err and "bytes" in err
+    assert "Traceback" not in err
+    assert elapsed < 1.0
 
 
 def test_missing_file(capsys) -> None:

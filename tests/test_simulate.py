@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from qtriage.circuit import Circuit, gate, parse_circuit
+from qtriage import simulate
+from qtriage.circuit import Circuit, GateKind, gate, parse_circuit
 from qtriage.simulate import (
     BudgetError,
     Regime,
@@ -18,7 +19,13 @@ from qtriage.simulate import (
     sim_cost,
 )
 
-from conftest import exact_distribution, random_clifford_circuit, random_low_t_circuit, tv_distance
+from conftest import (
+    exact_distribution,
+    random_clifford_circuit,
+    random_low_t_circuit,
+    reference_run_clifford,
+    tv_distance,
+)
 
 GHZ = "qubits 3\nh 0\ncnot 0 1\ncnot 1 2\nmeasure 0\nmeasure 1\nmeasure 2\n"
 
@@ -79,6 +86,66 @@ def test_clifford_mid_circuit_measures(seed: int) -> None:
     hist = run_clifford(c, 50_000, seed=seed)
     assert set(hist) <= set(exact)
     assert tv_distance(exact, hist, 50_000) <= 0.02
+
+
+def _equivalence_circuit(seed: int) -> Circuit:
+    """Seeded Clifford circuit over the whole gate set; every fifth is free of
+    H (so fully deterministic), some add repeated measures or measure nothing."""
+    rng = random.Random(5000 + seed)
+    n = rng.randint(1, 8)
+    no_measures = seed % 7 == 3
+    c = random_clifford_circuit(
+        rng,
+        n,
+        rng.randint(2, 8 * n),
+        measured=0 if no_measures else rng.randint(1, n),
+        mid_measures=0 if no_measures else rng.randint(0, 3),
+    )
+    ops = list(c.gates())
+    if seed % 5 == 0:
+        ops = [g for g in ops if g.kind is not GateKind.H]
+    if seed % 4 == 1 and not no_measures:
+        ops += [gate("measure", rng.randrange(n)) for _ in range(rng.randint(1, 3))]
+    return Circuit.from_gates(n, ops)
+
+
+def test_one_pass_sampler_matches_probe_reference() -> None:
+    kinds: set[GateKind] = set()
+    shapes = {"no measures": 0, "no h": 0, "with h": 0}
+    for seed in range(240):
+        c = _equivalence_circuit(seed)
+        kinds |= {g.kind for g in c.gates()}
+        shots = (1, 17, 300)[seed % 3]
+        hist = run_clifford(c, shots, seed)
+        assert hist == reference_run_clifford(c, shots, seed), f"circuit seed {seed}"
+        assert list(hist) == sorted(hist)
+        if seed % 7 == 3:
+            assert hist == {"": shots}
+            shapes["no measures"] += 1
+        elif seed % 5 == 0:
+            assert len(hist) == 1  # no H: every outcome is fixed
+            shapes["no h"] += 1
+        else:
+            shapes["with h"] += 1
+    assert {"sdg", "x", "y", "z", "cz", "cnot", "h", "s", "measure"} <= {k.value for k in kinds}
+    assert min(shapes.values()) >= 25
+
+
+def test_run_clifford_applies_each_gate_once(monkeypatch) -> None:
+    real = simulate.apply_clifford
+    calls = []
+
+    def counting(tab, g):
+        calls.append(g)
+        return real(tab, g)
+
+    monkeypatch.setattr(simulate, "apply_clifford", counting)
+    rng = random.Random(11)
+    c = random_clifford_circuit(rng, 6, 60, measured=6, mid_measures=3)
+    ops = [gate("h", q) for q in range(6)] + list(c.gates())  # many random events
+    c = Circuit.from_gates(6, ops)
+    assert len(run_clifford(c, 200, seed=0)) > 1
+    assert calls == [g for g in c.gates() if not g.is_measure]
 
 
 def test_extended_single_t_interference() -> None:

@@ -10,7 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 from qtriage.circuit import Circuit, gate
 from qtriage.dense import statevector
-from qtriage.tableau import RegimeError, Tableau, apply_clifford, measure, measure_with_source
+from qtriage.tableau import (
+    MAX_TABLEAU_BYTES,
+    RegimeError,
+    Tableau,
+    apply_clifford,
+    check_tableau_budget,
+    measure,
+    measure_affine,
+    measure_with_source,
+)
 
 from conftest import random_clifford_circuit
 
@@ -181,3 +190,56 @@ def test_random_or_deterministic_matches_born_rule(seed: int) -> None:
             assert p_one == pytest.approx(0.5, abs=1e-9)
         else:
             assert p_one == pytest.approx(float(outcome), abs=1e-9)
+
+
+def _measured_run(c: Circuit, source) -> tuple[list[int], list[np.ndarray], int]:
+    tab = Tableau(c.n_qubits)
+    outcomes, forms = [], []
+    for g in c.gates():
+        if g.is_measure:
+            outcome, _, form = measure_affine(tab, g.qubits[0], source)
+            outcomes.append(outcome)
+            forms.append(form)
+        else:
+            apply_clifford(tab, g)
+    return outcomes, forms, tab.random_events
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1))
+def test_sign_forms_predict_outcomes_under_any_draws(seed: int) -> None:
+    # one zero-draw pass gives outcome = base ^ form @ draws for every draw vector
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    c = random_clifford_circuit(rng, n, rng.randint(2, 40), measured=n, mid_measures=3)
+    base, forms, events = _measured_run(c, lambda: 0)
+    draws = [rng.randint(0, 1) for _ in range(events)]
+    it = iter(draws)
+    outcomes, _, again = _measured_run(c, lambda: next(it))
+    assert again == events
+    predicted = [(b + int(f @ np.array(draws[: len(f)], dtype=np.int64))) % 2 for b, f in zip(base, forms)]
+    assert outcomes == predicted
+
+
+def test_random_event_gets_a_fresh_unit_column() -> None:
+    tab = _apply_all(Tableau(2), [gate("h", 0), gate("h", 1)])
+    assert measure_affine(tab, 0, lambda: 0)[1:2] == (True,)
+    outcome, was_random, form = measure_affine(tab, 1, lambda: 1)
+    assert (outcome, was_random, form.tolist()) == (1, True, [0, 1])
+    assert tab.random_events == 2
+    # the repeat is deterministic and its form is the earlier event's column
+    assert measure_affine(tab, 1, lambda: 0)[2].tolist() == [0, 1]
+    snap = tab.copy()
+    measure_affine(tab, 0, lambda: 0)
+    assert snap.random_events == 2 and snap.coef is not tab.coef
+
+
+def test_tableau_budget_is_checked_before_allocation() -> None:
+    with pytest.raises(ValueError, match=r"3000000 qubits .* bytes"):
+        Tableau(3_000_000)
+    # the coefficient columns count against the same budget
+    n = 1024
+    fits = MAX_TABLEAU_BYTES // (2 * n) - 2 * n
+    check_tableau_budget(n, fits)
+    with pytest.raises(ValueError, match="1024 qubits"):
+        check_tableau_budget(n, fits + 1)
