@@ -40,6 +40,30 @@ class GateKind(Enum):
     MEASURE = "measure"
 
 
+# Gate-kind taxonomy: every non-measure kind is a fixed Clifford, a T gate, a
+# single-axis rotation, or a U2/U3 composite of single-axis rotations.
+
+# Fixed Clifford kinds; the stabilizer tableau applies exactly these.
+CLIFFORD_KINDS = frozenset(
+    {
+        GateKind.H,
+        GateKind.S,
+        GateKind.SDG,
+        GateKind.X,
+        GateKind.Y,
+        GateKind.Z,
+        GateKind.CNOT,
+        GateKind.CZ,
+    }
+)
+T_KINDS = frozenset({GateKind.T, GateKind.TDG})
+AXIS_KINDS = frozenset({GateKind.U1, GateKind.RZ, GateKind.RX, GateKind.RY})
+# Kinds a transpiled circuit may contain: the Clifford+T alphabet and measures.
+RESTRICTED_KINDS = (
+    CLIFFORD_KINDS - {GateKind.X, GateKind.Y, GateKind.Z, GateKind.CZ}
+) | T_KINDS | {GateKind.MEASURE}
+
+
 # kind -> (number of qubits, number of angles)
 _ARITY: dict[GateKind, tuple[int, int]] = {
     GateKind.U1: (1, 1),

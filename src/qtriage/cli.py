@@ -18,6 +18,8 @@ from typing import Callable, Sequence
 from .advisor import Decision, Policy, advise, advise_counts, render_report
 from .ansatz import AnsatzKind, build_ansatz, param_count
 from .circuit import (
+    CLIFFORD_KINDS,
+    T_KINDS,
     Circuit,
     GateKind,
     GateOp,
@@ -28,7 +30,7 @@ from .circuit import (
 from .config import Config, load_config
 from .simulate import BudgetError, render_histogram, run_clifford, run_extended
 from .surface import InfeasibleError, load_calibration, scan
-from .tableau import CLIFFORD_KINDS, RegimeError
+from .tableau import RegimeError
 from .transpiler import SynthesisMode, t_count, transpile
 from . import encoding
 
@@ -148,7 +150,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _config(args)
     circuit = _read_circuit(args.circuit)
     kinds = {g.kind for g in circuit.gates() if not g.is_measure}
-    runnable = CLIFFORD_KINDS | {GateKind.T, GateKind.TDG}
+    runnable = CLIFFORD_KINDS | T_KINDS
     if not kinds <= runnable:
         print(
             "note: lowering non-Clifford+T gates at epsilon "
@@ -157,7 +159,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         circuit = transpile(circuit, cfg.epsilon, SynthesisMode.SEQUENCE).circuit
         kinds = {g.kind for g in circuit.gates() if not g.is_measure}
-    if kinds & {GateKind.T, GateKind.TDG}:
+    if kinds & T_KINDS:
         hist = run_extended(circuit, args.shots, cfg.seed, t_max=cfg.t_max)
     else:
         hist = run_clifford(circuit, args.shots, cfg.seed)

@@ -8,11 +8,14 @@ an explicit path or the QTRIAGE_CONFIG environment variable.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, get_args, get_type_hints
 
+from .advisor import DEFAULT_T_THRESHOLD
+from .simulate import DEFAULT_T_MAX
 from .surface import HardwareProfile, parse_kv_lines
+from .transpiler import DEFAULT_COUNT_OFFSET, DEFAULT_COUNT_SLOPE
 
 ENV_CONFIG_PATH = "QTRIAGE_CONFIG"
 
@@ -20,15 +23,15 @@ ENV_CONFIG_PATH = "QTRIAGE_CONFIG"
 @dataclass(frozen=True)
 class Config:
     epsilon: float = 1e-2
-    t_threshold: int = 300
+    t_threshold: int = DEFAULT_T_THRESHOLD
     p: float = 1e-3
     cycle_time: float = 1e-6
     target_logical_error: float = 0.02
     calibration: str | None = None
     seed: int = 0
-    t_max: int = 16
-    count_slope: float = 3.0
-    count_offset: int = 4
+    t_max: int = DEFAULT_T_MAX
+    count_slope: float = DEFAULT_COUNT_SLOPE
+    count_offset: int = DEFAULT_COUNT_OFFSET
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 1.0:
@@ -48,20 +51,13 @@ class Config:
         return replace(self, **changed) if changed else self
 
 
-_PARSERS: dict[str, Callable[[str], Any]] = {
-    "epsilon": float,
-    "t_threshold": int,
-    "p": float,
-    "cycle_time": float,
-    "target_logical_error": float,
-    "calibration": str,
-    "seed": int,
-    "t_max": int,
-    "count_slope": float,
-    "count_offset": int,
-}
+def _parser(field_type: Any) -> Callable[[str], Any]:
+    """The field's type, or the non-None member of an optional type."""
+    members = [t for t in get_args(field_type) if t is not type(None)]
+    return members[0] if members else field_type
 
-assert set(_PARSERS) == {f.name for f in fields(Config)}
+
+_PARSERS = {name: _parser(t) for name, t in get_type_hints(Config).items()}
 
 
 def config_from_text(text: str) -> Config:

@@ -25,10 +25,10 @@ from enum import Enum
 
 import numpy as np
 
-from .circuit import Circuit, GateKind, GateOp
+from .circuit import CLIFFORD_KINDS, Circuit, GateKind, GateOp
 from .dense import gate_matrix
 from .tableau import (
-    CLIFFORD_KINDS,
+    MAX_TABLEAU_BYTES,
     RegimeError,
     Tableau,
     apply_clifford,
@@ -134,6 +134,15 @@ def run_clifford(circuit: Circuit, shots: int, seed: int) -> dict[str, int]:
             apply_clifford(tab, g)
     base = np.array(outcomes, dtype=np.uint8)
     n_random = tab.random_events
+    # draws (shots x k), columns (n_meas x k) and parity (shots x n_meas),
+    # each once as uint8 and once as float64
+    need = 9 * (n_random * (shots + n_meas) + shots * n_meas)
+    if need > MAX_TABLEAU_BYTES:
+        raise ValueError(
+            f"sampling {shots} shots of {n_meas} measurements over {n_random} "
+            f"random events needs {need} bytes, past the "
+            f"{MAX_TABLEAU_BYTES}-byte budget"
+        )
     columns = np.zeros((n_meas, n_random), dtype=np.uint8)
     for row, form in zip(columns, forms):
         row[: len(form)] = form

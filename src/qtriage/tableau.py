@@ -33,22 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .circuit import GateKind, GateOp
-
-# Clifford kinds the tableau accepts directly.
-CLIFFORD_KINDS = frozenset(
-    {
-        GateKind.H,
-        GateKind.S,
-        GateKind.SDG,
-        GateKind.X,
-        GateKind.Y,
-        GateKind.Z,
-        GateKind.CNOT,
-        GateKind.CZ,
-    }
-)
-
+from .circuit import CLIFFORD_KINDS, GateKind, GateOp
 
 # Largest X/Z tableau plus coefficient matrix one Tableau may hold, in bytes.
 MAX_TABLEAU_BYTES = 1 << 30
@@ -151,19 +136,16 @@ def apply_clifford(tab: Tableau, gate: GateOp) -> Tableau:
     elif k is GateKind.S:
         tab._s(q[0])
     elif k is GateKind.SDG:
-        # S^3
+        # Sdg = S then Z
         tab._s(q[0])
-        tab._s(q[0])
-        tab._s(q[0])
+        tab.r ^= tab.x[:, q[0]]
     elif k is GateKind.Z:
         tab.r ^= tab.x[:, q[0]]
     elif k is GateKind.X:
         tab.r ^= tab.z[:, q[0]]
     elif k is GateKind.Y:
-        # Y = S X Sdg as a conjugation
-        apply_clifford(tab, GateOp(GateKind.SDG, q))
-        tab.r ^= tab.z[:, q[0]]
-        apply_clifford(tab, GateOp(GateKind.S, q))
+        # Y flips the sign of X and Z on its qubit, not of Y
+        tab.r ^= tab.x[:, q[0]] ^ tab.z[:, q[0]]
     elif k is GateKind.CNOT:
         tab._cnot(q[0], q[1])
     elif k is GateKind.CZ:

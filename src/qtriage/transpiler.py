@@ -13,40 +13,22 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .circuit import Circuit, GateKind, GateOp, angle_grid_index
-from .synthesis import ApproxTable, SynthesisError, approximate_rz
-
-# Kinds a transpiled circuit may contain.
-RESTRICTED_KINDS = frozenset(
-    {
-        GateKind.H,
-        GateKind.S,
-        GateKind.SDG,
-        GateKind.T,
-        GateKind.TDG,
-        GateKind.CNOT,
-        GateKind.MEASURE,
-    }
+from .circuit import (
+    AXIS_KINDS,
+    CLIFFORD_KINDS,
+    RESTRICTED_KINDS,
+    T_KINDS,
+    Circuit,
+    GateKind,
+    GateOp,
+    angle_grid_index,
+    normalize_angle,
 )
+from .synthesis import ApproxTable, SynthesisError, approximate_rz
 
 # Per-rotation COUNT-mode cost is ceil(slope * log2(1/eps)) + offset.
 DEFAULT_COUNT_SLOPE = 3.0
 DEFAULT_COUNT_OFFSET = 4
-
-_AXIS_KINDS = frozenset({GateKind.U1, GateKind.RZ, GateKind.RX, GateKind.RY})
-
-_FIXED_CLIFFORD = frozenset(
-    {
-        GateKind.H,
-        GateKind.S,
-        GateKind.SDG,
-        GateKind.X,
-        GateKind.Y,
-        GateKind.Z,
-        GateKind.CNOT,
-        GateKind.CZ,
-    }
-)
 
 
 class GateClass(Enum):
@@ -60,16 +42,26 @@ class SynthesisMode(Enum):
     SEQUENCE = "sequence"
 
 
-def _axis_class(theta: float) -> GateClass:
-    # pi/2 grid -> Clifford, odd pi/4 grid -> one exact T, else approximate
-    k = angle_grid_index(theta)
-    if k is None:
-        return GateClass.NON_CLIFFORD_ROTATION
-    return GateClass.CLIFFORD if k % 2 == 0 else GateClass.T_EXACT
+# A single-axis factor: (axis RZ/RX/RY, angle, pi/4 grid index or None).
+_Factor = tuple[GateKind, float, "int | None"]
+
+# Paulis as half-turn rotations (equal up to global phase), in gate order;
+# Y is X . Z, so Z comes first.
+_Z_FACTOR: _Factor = (GateKind.RZ, math.pi, 4)
+_X_FACTOR: _Factor = (GateKind.RX, math.pi, 4)
+_PAULI_FACTORS: dict[GateKind, tuple[_Factor, ...]] = {
+    GateKind.X: (_X_FACTOR,),
+    GateKind.Y: (_Z_FACTOR, _X_FACTOR),
+    GateKind.Z: (_Z_FACTOR,),
+}
 
 
-def _constituents(g: GateOp) -> list[GateOp]:
-    """Single-axis factors of a U2/U3 gate, in application order.
+def _factor(axis: GateKind, theta: float) -> _Factor:
+    return (axis, theta, angle_grid_index(theta))
+
+
+def _factors(g: GateOp) -> tuple[_Factor, ...]:
+    """Single-axis factors of a Pauli, axis rotation or U2/U3, in gate order.
 
     U3(lam, phi, gam) acts as U1(phi) . RY(lam) . U1(gam) applied right to
     left, so the gate order is RZ(gam), RY(lam), RZ(phi); U2(lam, phi) is
@@ -77,28 +69,39 @@ def _constituents(g: GateOp) -> list[GateOp]:
     two diagonal factors into one so that the class of the factor list
     matches the class of the product.
     """
-    q = g.qubits[0]
-    if g.kind is GateKind.U2:
+    kind = g.kind
+    if kind in _PAULI_FACTORS:
+        return _PAULI_FACTORS[kind]
+    if kind in AXIS_KINDS:
+        return (_factor(GateKind.RZ if kind is GateKind.U1 else kind, g.angles[0]),)
+    if kind is GateKind.U2:
         lam, phi = g.angles
         theta, late, early = math.pi / 2.0, lam, phi
     else:
         theta, late, early = g.angles
+        half_turns = angle_grid_index(theta, step=math.pi)
+        if half_turns == 0:
+            merged = _factor(GateKind.RZ, normalize_angle(early + late))
+            return () if merged[2] == 0 else (merged,)
+        if half_turns == 1:
+            # U1(phi) RY(pi) U1(gam) = phase . X . U1(gam - phi + pi)
+            merged = _factor(GateKind.RZ, normalize_angle(early - late + math.pi))
+            return (_X_FACTOR,) if merged[2] == 0 else (merged, _X_FACTOR)
+    return (
+        _factor(GateKind.RZ, early),
+        _factor(GateKind.RY, theta),
+        _factor(GateKind.RZ, late),
+    )
 
-    def rz(angle: float) -> GateOp:
-        return GateOp(GateKind.RZ, (q,), (angle,))
 
-    half_turns = angle_grid_index(theta, step=math.pi)
-    if half_turns == 0:
-        merged = rz(early + late)
-        return [] if angle_grid_index(merged.angles[0]) == 0 else [merged]
-    if half_turns == 1:
-        # U1(phi) RY(pi) U1(gam) = phase . X . U1(gam - phi + pi)
-        merged = rz(early - late + math.pi)
-        x = GateOp(GateKind.X, (q,))
-        if angle_grid_index(merged.angles[0]) == 0:
-            return [x]
-        return [merged, x]
-    return [rz(early), GateOp(GateKind.RY, (q,), (theta,)), rz(late)]
+def _factor_class(factors: tuple[_Factor, ...]) -> GateClass:
+    # pi/2 grid -> Clifford, odd pi/4 grid -> one exact T, else approximate
+    ks = [k for _, _, k in factors]
+    if None in ks:
+        return GateClass.NON_CLIFFORD_ROTATION
+    if any(k % 2 for k in ks):
+        return GateClass.T_EXACT
+    return GateClass.CLIFFORD
 
 
 def classify_gate(g: GateOp) -> GateClass:
@@ -110,18 +113,11 @@ def classify_gate(g: GateOp) -> GateClass:
     """
     if g.is_measure:
         raise ValueError("measure has no gate class")
-    if g.kind in _FIXED_CLIFFORD:
+    if g.kind in CLIFFORD_KINDS:
         return GateClass.CLIFFORD
-    if g.kind in (GateKind.T, GateKind.TDG):
+    if g.kind in T_KINDS:
         return GateClass.T_EXACT
-    if g.kind in _AXIS_KINDS:
-        return _axis_class(g.angles[0])
-    classes = [classify_gate(c) for c in _constituents(g)]
-    if any(c is GateClass.NON_CLIFFORD_ROTATION for c in classes):
-        return GateClass.NON_CLIFFORD_ROTATION
-    if any(c is GateClass.T_EXACT for c in classes):
-        return GateClass.T_EXACT
-    return GateClass.CLIFFORD
+    return _factor_class(_factors(g))
 
 
 # RZ/U1 on the pi/4 grid, keyed by grid index; diagonal so order is free.
@@ -136,17 +132,88 @@ _RZ_GRID_WORDS: dict[int, tuple[GateKind, ...]] = {
     7: (GateKind.TDG,),
 }
 
-_X_WORD = (GateKind.H, GateKind.S, GateKind.S, GateKind.H)
-_Y_WORD = (GateKind.S, GateKind.S, GateKind.H, GateKind.S, GateKind.S, GateKind.H)
-_Z_WORD = (GateKind.S, GateKind.S)
+# Clifford words (before, after) that turn an RZ word into the axis's
+# rotation; conjugation moves the axis without changing the distance.
+_AXIS_FRAMES: dict[GateKind, tuple[tuple[GateKind, ...], tuple[GateKind, ...]]] = {
+    GateKind.RZ: ((), ()),
+    GateKind.RX: ((GateKind.H,), (GateKind.H,)),
+    GateKind.RY: ((GateKind.SDG, GateKind.H), (GateKind.H, GateKind.S)),
+}
+
+# Factor grid indices of U2(0, pi), which lowers to a single H.
+_U2_HADAMARD = [4, 2, 0]
 
 
-def _on(qubit: int, kinds: tuple[GateKind, ...] | list[GateKind]) -> list[GateOp]:
-    return [GateOp(k, (qubit,)) for k in kinds]
+def _lower(
+    g: GateOp,
+    epsilon: float | None,
+    mode: SynthesisMode,
+    count_slope: float,
+    count_offset: int,
+    table: ApproxTable | None,
+    out: list[GateOp] | None,
+) -> tuple[GateClass, int, float, int]:
+    """Classify, price and (when out is a list) lower one non-measure gate.
 
+    Returns (class, T used, error bound, rotations approximated) and appends
+    the restricted-alphabet lowering to out. Grid factors lower exactly with
+    zero error; a generic factor is priced by the COUNT formula (error
+    epsilon, nothing emitted for the whole gate) or replaced by a searched
+    word (its measured distance) in SEQUENCE mode. Error bounds add up in
+    factor order. epsilon None asks for the exact path only.
 
-def _t_in(seq: list[GateOp]) -> int:
-    return sum(1 for g in seq if g.kind in (GateKind.T, GateKind.TDG))
+    Raises:
+        SynthesisError: epsilon is None and the gate needs approximation.
+    """
+    if g.is_measure:
+        raise ValueError("measure has no gate class")
+    kind = g.kind
+    if kind in RESTRICTED_KINDS:
+        if out is not None:
+            out.append(g)
+        if kind in T_KINDS:
+            return GateClass.T_EXACT, 1, 0.0, 0
+        return GateClass.CLIFFORD, 0, 0.0, 0
+    if kind is GateKind.CZ:
+        if out is not None:
+            ctrl, tgt = g.qubits
+            h = GateOp(GateKind.H, (tgt,))
+            out += [h, GateOp(GateKind.CNOT, (ctrl, tgt)), h]
+        return GateClass.CLIFFORD, 0, 0.0, 0
+
+    factors = _factors(g)
+    cls = _factor_class(factors)
+    if cls is GateClass.NON_CLIFFORD_ROTATION:
+        if epsilon is None:
+            raise SynthesisError(
+                f"{kind.value} with generic angle needs approximation"
+            )
+        if mode is SynthesisMode.COUNT:
+            out = None  # priced, not emitted
+    q = g.qubits[0]
+    if kind is GateKind.U2 and [k for _, _, k in factors] == _U2_HADAMARD:
+        if out is not None:
+            out.append(GateOp(GateKind.H, (q,)))
+        return cls, 0, 0.0, 0
+    t_used, err, n_approx = 0, 0.0, 0
+    for axis, theta, k in factors:
+        if k is not None:
+            word = _RZ_GRID_WORDS[k]
+            t_used += k % 2
+        elif mode is SynthesisMode.COUNT:
+            t_used += count_mode_t_cost(epsilon, count_slope, count_offset)
+            err += epsilon
+            n_approx += 1
+            continue
+        else:
+            word, dist = approximate_rz(theta, epsilon, table)
+            t_used += sum(1 for w in word if w in T_KINDS)
+            err += dist
+            n_approx += 1
+        if out is not None:
+            before, after = _AXIS_FRAMES[axis]
+            out += [GateOp(w, (q,)) for w in (*before, *word, *after)]
+    return cls, t_used, err, n_approx
 
 
 def synthesize_exact(g: GateOp) -> list[GateOp]:
@@ -158,50 +225,11 @@ def synthesize_exact(g: GateOp) -> list[GateOp]:
     Raises:
         SynthesisError: the gate needs approximation (generic angle).
     """
-    cls = classify_gate(g)
-    if cls is GateClass.NON_CLIFFORD_ROTATION:
-        raise SynthesisError(f"{g.kind.value} with generic angle needs approximation")
-    if g.kind in (
-        GateKind.H,
-        GateKind.S,
-        GateKind.SDG,
-        GateKind.T,
-        GateKind.TDG,
-        GateKind.CNOT,
-    ):
-        return [g]
-    q = g.qubits[0]
-    if g.kind is GateKind.X:
-        return _on(q, _X_WORD)
-    if g.kind is GateKind.Y:
-        return _on(q, _Y_WORD)
-    if g.kind is GateKind.Z:
-        return _on(q, _Z_WORD)
-    if g.kind is GateKind.CZ:
-        ctrl, tgt = g.qubits
-        h = GateOp(GateKind.H, (tgt,))
-        return [h, GateOp(GateKind.CNOT, (ctrl, tgt)), h]
-    if g.kind in (GateKind.U1, GateKind.RZ):
-        k = angle_grid_index(g.angles[0])
-        assert k is not None
-        return _on(q, _RZ_GRID_WORDS[k])
-    if g.kind is GateKind.RX:
-        inner = synthesize_exact(GateOp(GateKind.RZ, (q,), g.angles))
-        return [GateOp(GateKind.H, (q,)), *inner, GateOp(GateKind.H, (q,))]
-    if g.kind is GateKind.RY:
-        inner = synthesize_exact(GateOp(GateKind.RZ, (q,), g.angles))
-        return (
-            _on(q, (GateKind.SDG, GateKind.H))
-            + inner
-            + _on(q, (GateKind.H, GateKind.S))
-        )
-    if g.kind is GateKind.U2:
-        lam, phi = g.angles
-        if angle_grid_index(lam) == 0 and angle_grid_index(phi) == 4:
-            return [GateOp(GateKind.H, (q,))]
     out: list[GateOp] = []
-    for c in _constituents(g):
-        out.extend(synthesize_exact(c))
+    _lower(
+        g, None, SynthesisMode.SEQUENCE, DEFAULT_COUNT_SLOPE, DEFAULT_COUNT_OFFSET,
+        None, out,
+    )
     return out
 
 
@@ -233,61 +261,11 @@ def synthesize_approx(
     epsilon below the search floor. Grid angles fall back to the exact path
     with zero error regardless of epsilon.
     """
-    if g.kind not in _AXIS_KINDS:
+    if g.kind not in AXIS_KINDS:
         raise SynthesisError(f"expected a single-axis rotation, got {g.kind.value}")
-    if classify_gate(g) is not GateClass.NON_CLIFFORD_ROTATION:
-        seq = synthesize_exact(g)
-        return seq, _t_in(seq), 0.0
-    if mode is SynthesisMode.COUNT:
-        return [], count_mode_t_cost(epsilon, count_slope, count_offset), epsilon
-    q = g.qubits[0]
-    word, dist = approximate_rz(g.angles[0], epsilon, table)
-    seq = _on(q, word)
-    # conjugation by Cliffords moves the axis without changing the distance
-    if g.kind is GateKind.RX:
-        seq = [GateOp(GateKind.H, (q,)), *seq, GateOp(GateKind.H, (q,))]
-    elif g.kind is GateKind.RY:
-        seq = _on(q, (GateKind.SDG, GateKind.H)) + seq + _on(q, (GateKind.H, GateKind.S))
-    return seq, _t_in(seq), dist
-
-
-def _lower_gate(
-    g: GateOp,
-    epsilon: float,
-    mode: SynthesisMode,
-    count_slope: float,
-    count_offset: int,
-    table: ApproxTable | None,
-) -> tuple[list[GateOp], int, float, int]:
-    """(emitted gates, t_used, error bound, rotations approximated)."""
-    if classify_gate(g) is not GateClass.NON_CLIFFORD_ROTATION:
-        seq = synthesize_exact(g)
-        return seq, _t_in(seq), 0.0, 0
-    if g.kind in _AXIS_KINDS:
-        seq, t_used, err = synthesize_approx(
-            g, epsilon, mode, count_slope=count_slope,
-            count_offset=count_offset, table=table,
-        )
-        return seq, t_used, err, 1
-    seq = []
-    t_used, err, n_approx = 0, 0.0, 0
-    for c in _constituents(g):
-        if classify_gate(c) is not GateClass.NON_CLIFFORD_ROTATION:
-            sub = synthesize_exact(c)
-            seq.extend(sub)
-            t_used += _t_in(sub)
-        else:
-            sub, t_c, err_c = synthesize_approx(
-                c, epsilon, mode, count_slope=count_slope,
-                count_offset=count_offset, table=table,
-            )
-            seq.extend(sub)
-            t_used += t_c
-            err += err_c
-            n_approx += 1
-    if mode is SynthesisMode.COUNT:
-        seq = []  # counted, not emitted
-    return seq, t_used, err, n_approx
+    seq: list[GateOp] = []
+    _, t_used, err, _ = _lower(g, epsilon, mode, count_slope, count_offset, table, seq)
+    return seq, t_used, err
 
 
 @dataclass(frozen=True)
@@ -331,10 +309,9 @@ def transpile(
         if g.is_measure:
             emitted.append(g)
         else:
-            seq, _, err, k = _lower_gate(
-                g, epsilon, mode, count_slope, count_offset, table
+            _, _, err, k = _lower(
+                g, epsilon, mode, count_slope, count_offset, table, emitted
             )
-            emitted.extend(seq)
             total_err += err
             n_approx += k
         spans.append((start, len(emitted)))
@@ -395,14 +372,13 @@ def t_count(
         for g in layer:
             if g.is_measure:
                 continue
-            cls = classify_gate(g)
+            cls, t_used, _, _ = _lower(
+                g, epsilon, SynthesisMode.COUNT, count_slope, count_offset, None, None
+            )
             if cls is GateClass.CLIFFORD:
                 clifford_count += 1
                 continue
             hot = True
-            _, t_used, _, _ = _lower_gate(
-                g, epsilon, SynthesisMode.COUNT, count_slope, count_offset, None
-            )
             layer_t += t_used
         charge = 1 if hot and not prev_hot else 0
         t_sym += charge

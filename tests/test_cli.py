@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import time
+import tracemalloc
 
 import pytest
 
@@ -310,6 +311,23 @@ def test_oversized_tableau_is_refused_before_allocation(capsys, tmp_path) -> Non
     assert err.startswith("error:") and "3000000 qubits" in err and "bytes" in err
     assert "Traceback" not in err
     assert elapsed < 1.0
+
+
+def test_oversized_sampling_is_refused_before_allocation(capsys, tmp_path) -> None:
+    # one random event at 10^8 shots: the draws alone would take 900 MB
+    f = _circuit_file(tmp_path, "qubits 1\nh 0\nmeasure 0\n")
+    tracemalloc.start()
+    try:
+        code, out, err = _run(capsys, "simulate", f, "--shots", "100000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "100000000 shots" in err
+    assert "1800000009 bytes" in err
+    assert "Traceback" not in err
+    assert peak < 16 << 20
 
 
 def test_missing_file(capsys) -> None:

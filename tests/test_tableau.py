@@ -50,17 +50,42 @@ def test_z_on_plus_matches_s_squared() -> None:
     assert a.stabilizer_strings() == b.stabilizer_strings()
 
 
+def _random_prefix(seed: int) -> Tableau:
+    """Tableau after a seeded random Clifford circuit with two measurements."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    c = random_clifford_circuit(rng, n, rng.randint(5, 40), measured=0)
+    tab = _apply_all(Tableau(n), c.gates())
+    for _ in range(2):
+        measure_with_source(tab, rng.randrange(n), lambda: rng.randint(0, 1))
+    return tab
+
+
+def _assert_same_tableau(a: Tableau, b: Tableau) -> None:
+    np.testing.assert_array_equal(a.x, b.x)
+    np.testing.assert_array_equal(a.z, b.z)
+    np.testing.assert_array_equal(a.r, b.r)
+
+
 def test_sdg_is_s_cubed() -> None:
-    ops = [gate("h", 0), gate("s", 0)]  # park the state off the Z axis first
-    a = _apply_all(Tableau(1), ops + [gate("sdg", 0)])
-    b = _apply_all(Tableau(1), ops + [gate("s", 0)] * 3)
-    assert a.stabilizer_strings() == b.stabilizer_strings()
+    for seed in range(20):
+        a = _random_prefix(seed)
+        b = a.copy()
+        for q in range(a.n):
+            apply_clifford(a, gate("sdg", q))
+            _apply_all(b, [gate("s", q)] * 3)
+            _assert_same_tableau(a, b)
 
 
 def test_y_is_s_x_sdg() -> None:
-    a = _apply_all(Tableau(1), [gate("h", 0), gate("y", 0)])
-    b = _apply_all(Tableau(1), [gate("h", 0), gate("sdg", 0), gate("x", 0), gate("s", 0)])
-    assert a.stabilizer_strings() == b.stabilizer_strings()
+    for seed in range(20):
+        a = _random_prefix(seed)
+        b = a.copy()
+        for q in range(a.n):
+            apply_clifford(a, gate("y", q))
+            # Sdg written as S^3, so the reference shares no code with Y or Sdg
+            _apply_all(b, [gate("s", q)] * 3 + [gate("x", q), gate("s", q)])
+            _assert_same_tableau(a, b)
 
 
 def test_cz_matches_conjugated_cnot() -> None:

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtriage.ansatz import AnsatzKind, build_ansatz, param_count
-from qtriage.circuit import Circuit, GateKind, GateOp, gate, parse_circuit
+from qtriage import transpiler
+from qtriage.circuit import ANGLE_TOL, Circuit, GateKind, GateOp, gate, parse_circuit
 from qtriage.dense import gate_matrix, phase_insensitive_fidelity, su2_distance, unitary_of
 from qtriage.synthesis import ApproxTable, SynthesisError
 from qtriage.transpiler import (
@@ -355,3 +357,66 @@ def test_t_count_invariants(seed: int) -> None:
 def test_synthetic_report_without_breakdown_is_allowed() -> None:
     rep = TCountReport(100, 3, 1e-2, 0, ())
     assert rep.t_sym == 3
+
+
+# --- one pass per gate -----------------------------------------------------------
+
+
+def _grid_adjacent_gates(seed: int, count: int) -> list[GateOp]:
+    """Rotations whose angles sit on the pi/4 grid, within ANGLE_TOL of it,
+    or just outside it."""
+    rng = random.Random(seed)
+    offsets = (0.0, 0.5 * ANGLE_TOL, -0.5 * ANGLE_TOL, 3 * ANGLE_TOL, -3 * ANGLE_TOL)
+
+    def angle() -> float:
+        return rng.randrange(8) * PI / 4 + rng.choice(offsets)
+
+    arity = {"u1": 1, "rz": 1, "rx": 1, "ry": 1, "u2": 2, "u3": 3}
+    kinds = rng.choices(list(arity), k=count)
+    return [gate(k, 0, angles=[angle() for _ in range(arity[k])]) for k in kinds]
+
+
+def test_exact_path_agrees_with_class_and_count_on_grid_edges() -> None:
+    gates = _grid_adjacent_gates(2026, 600)
+    classes = Counter(classify_gate(g) for g in gates)
+    assert all(classes[c] > 50 for c in GateClass)  # every branch is exercised
+    for g in gates:
+        exact = classify_gate(g) is not GateClass.NON_CLIFFORD_ROTATION
+        try:
+            seq = synthesize_exact(g)
+        except SynthesisError:
+            assert not exact, g
+            continue
+        assert exact, g
+        c = Circuit.from_gates(1, [g])
+        lowered = transpile(c, 1e-2, SynthesisMode.SEQUENCE).circuit
+        emitted_t = sum(
+            1 for s in lowered.gates() if s.kind in (GateKind.T, GateKind.TDG)
+        )
+        assert t_count(c, 1e-2).t_full == emitted_t, g
+        assert list(lowered.gates()) == seq
+
+
+def test_t_count_decomposes_each_composite_once(monkeypatch) -> None:
+    rng = random.Random(5)
+    c = random_mixed_circuit(rng, 4, 300)
+    composites = [g for g in c.gates() if g.kind in (GateKind.U2, GateKind.U3)]
+    assert len(composites) > 30
+    seen: list[GateOp] = []
+    built: list[GateOp] = []
+    factors, post_init = transpiler._factors, GateOp.__post_init__
+
+    def counting_factors(g: GateOp):
+        if g.kind in (GateKind.U2, GateKind.U3):
+            seen.append(g)
+        return factors(g)
+
+    def counting_post_init(self: GateOp) -> None:
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(transpiler, "_factors", counting_factors)
+    monkeypatch.setattr(GateOp, "__post_init__", counting_post_init)
+    t_count(c, 1e-2)
+    assert Counter(map(id, seen)) == Counter(map(id, composites))
+    assert built == []  # COUNT pricing emits no gates
