@@ -9,17 +9,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .advisor import Decision, Policy, advise, advise_counts, render_report
 from .ansatz import AnsatzKind, build_ansatz, param_count
 from .circuit import (
     CLIFFORD_KINDS,
     T_KINDS,
+    TWO_PI,
     Circuit,
     GateKind,
     GateOp,
@@ -34,22 +37,30 @@ from .tableau import RegimeError
 from .transpiler import SynthesisMode, t_count, transpile
 from . import encoding
 
-_TWO_PI = 6.283185307179586
-
 _EXIT_BY_DECISION = {Decision.HPC: 0, Decision.QC: 10, Decision.INFEASIBLE: 11}
 
 
-def _write(text_or_bytes: str | bytes, output: str | None) -> None:
-    data = (
-        text_or_bytes
-        if isinstance(text_or_bytes, bytes)
-        else text_or_bytes.encode("utf-8")
-    )
+def _write(data: str | bytes, output: str | None) -> None:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     if output is None or output == "-":
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
     else:
         Path(output).write_bytes(data)
+
+
+def _emit(args: argparse.Namespace, doc: object, text: str) -> None:
+    """Write doc as one JSON line under `--format machine`, else the text."""
+    if args.format == "machine":
+        text = json.dumps(doc) + "\n"
+    _write(text, getattr(args, "output", None))
+
+
+def _table(header: str, rows: Iterable[Iterable[object]]) -> str:
+    """A header line, then one space-separated line per row."""
+    lines = [header] + [" ".join(f"{cell}" for cell in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _read_circuit(path: str) -> Circuit:
@@ -59,18 +70,8 @@ def _read_circuit(path: str) -> Circuit:
 
 
 def _config(args: argparse.Namespace) -> Config:
-    cfg = load_config(getattr(args, "config", None))
-    overrides = {}
-    for key in (
-        "epsilon",
-        "t_threshold",
-        "seed",
-        "t_max",
-        "calibration",
-    ):
-        if hasattr(args, key):
-            overrides[key] = getattr(args, key)
-    return cfg.override(**overrides)
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(Config)}
+    return load_config(getattr(args, "config", None)).override(**overrides)
 
 
 def cmd_ansatz(args: argparse.Namespace) -> int:
@@ -78,7 +79,7 @@ def cmd_ansatz(args: argparse.Namespace) -> int:
     kind = AnsatzKind(args.kind)
     rng = random.Random(cfg.seed)
     params = [
-        rng.uniform(0.0, _TWO_PI)
+        rng.uniform(0.0, TWO_PI)
         for _ in range(param_count(kind, args.qubits, args.depth))
     ]
     circuit = build_ansatz(kind, args.qubits, args.depth, params)
@@ -98,18 +99,15 @@ def cmd_transpile(args: argparse.Namespace) -> int:
         count_offset=cfg.count_offset,
     )
     text = render_circuit(result.circuit)
-    if args.format == "machine":
-        doc = {
-            "n_qubits": result.circuit.n_qubits,
-            "gate_count": result.circuit.gate_count,
-            "depth": result.circuit.depth,
-            "approx_rotations": result.approx_rotations,
-            "approx_error": result.approx_error,
-            "circuit": text,
-        }
-        _write(json.dumps(doc) + "\n", args.output)
-    else:
-        _write(text, args.output)
+    doc = {
+        "n_qubits": result.circuit.n_qubits,
+        "gate_count": result.circuit.gate_count,
+        "depth": result.circuit.depth,
+        "approx_rotations": result.approx_rotations,
+        "approx_error": result.approx_error,
+        "circuit": text,
+    }
+    _emit(args, doc, text)
     return 0
 
 
@@ -121,28 +119,23 @@ def cmd_count(args: argparse.Namespace) -> int:
         count_slope=cfg.count_slope,
         count_offset=cfg.count_offset,
     )
-    if args.format == "machine":
-        doc = {
-            "t_full": report.t_full,
-            "t_sym": report.t_sym,
-            "epsilon": report.epsilon,
-            "clifford_count": report.clifford_count,
-            "breakdown": [
-                {"layer": row.layer, "t_full": row.t_full, "t_sym": row.t_sym}
-                for row in report.breakdown
-            ],
-        }
-        _write(json.dumps(doc) + "\n", None)
-        return 0
-    lines = [
-        f"t-full: {report.t_full}",
-        f"t-sym: {report.t_sym}",
-        f"epsilon: {report.epsilon:g}",
-        f"clifford-count: {report.clifford_count}",
-        "layer t-full t-sym",
-    ]
-    lines += [f"{r.layer} {r.t_full} {r.t_sym}" for r in report.breakdown]
-    _write("\n".join(lines) + "\n", None)
+    doc = {
+        "t_full": report.t_full,
+        "t_sym": report.t_sym,
+        "epsilon": report.epsilon,
+        "clifford_count": report.clifford_count,
+        "breakdown": [
+            {"layer": row.layer, "t_full": row.t_full, "t_sym": row.t_sym}
+            for row in report.breakdown
+        ],
+    }
+    text = (
+        f"t-full: {report.t_full}\n"
+        f"t-sym: {report.t_sym}\n"
+        f"epsilon: {report.epsilon:g}\n"
+        f"clifford-count: {report.clifford_count}\n"
+    ) + _table("layer t-full t-sym", (row.values() for row in doc["breakdown"]))
+    _emit(args, doc, text)
     return 0
 
 
@@ -150,8 +143,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _config(args)
     circuit = _read_circuit(args.circuit)
     kinds = {g.kind for g in circuit.gates() if not g.is_measure}
-    runnable = CLIFFORD_KINDS | T_KINDS
-    if not kinds <= runnable:
+    if not kinds <= CLIFFORD_KINDS | T_KINDS:
         print(
             "note: lowering non-Clifford+T gates at epsilon "
             f"{cfg.epsilon:g} before simulating",
@@ -163,41 +155,43 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         hist = run_extended(circuit, args.shots, cfg.seed, t_max=cfg.t_max)
     else:
         hist = run_clifford(circuit, args.shots, cfg.seed)
-    if args.format == "machine":
-        doc = {"shots": args.shots, "seed": cfg.seed, "histogram": hist}
-        _write(json.dumps(doc, sort_keys=True) + "\n", None)
-    else:
-        _write(render_histogram(hist), None)
+    hist = dict(sorted(hist.items()))
+    doc = {"histogram": hist, "seed": cfg.seed, "shots": args.shots}
+    _emit(args, doc, render_histogram(hist))
     return 0
+
+
+def _t_value(text: str) -> int:
+    """A T-count argument: any finite number, truncated toward zero."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"T value {text!r} is not finite")
+    return int(value)
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     cfg = _config(args)
     model = load_calibration(cfg.calibration)
-    t_values = sorted(int(float(v)) for v in args.t)
+    t_values = sorted(_t_value(v) for v in args.t)
     rows = scan(cfg.profile(), args.logical_qubits, t_values, model)
-    if args.format == "machine":
-        docs = [
-            {
-                "t": t,
-                "distance": r.d,
-                "data_qubits": r.data_qubits,
-                "distillation_qubits": r.distillation_qubits,
-                "total_physical_qubits": r.total_physical,
-                "hours_per_shot": r.hours_per_shot,
-                "source": r.assumptions["source"],
-            }
-            for t, r in zip(t_values, rows)
-        ]
-        _write(json.dumps(docs) + "\n", None)
-        return 0
-    lines = ["t distance data distillation total hours-per-shot source"]
-    for t, r in zip(t_values, rows):
-        lines.append(
-            f"{t} {r.d} {r.data_qubits} {r.distillation_qubits} "
-            f"{r.total_physical} {r.hours_per_shot:.6g} {r.assumptions['source']}"
-        )
-    _write("\n".join(lines) + "\n", None)
+    docs = [
+        {
+            "t": t,
+            "distance": r.d,
+            "data_qubits": r.data_qubits,
+            "distillation_qubits": r.distillation_qubits,
+            "total_physical_qubits": r.total_physical,
+            "hours_per_shot": r.hours_per_shot,
+            "source": r.assumptions["source"],
+        }
+        for t, r in zip(t_values, rows)
+    ]
+    # the text columns are the doc's fields in order, hours to 6 digits
+    text = _table(
+        "t distance data distillation total hours-per-shot source",
+        ({**d, "hours_per_shot": f"{d['hours_per_shot']:.6g}"}.values() for d in docs),
+    )
+    _emit(args, docs, text)
     return 0
 
 
@@ -212,20 +206,9 @@ def cmd_encode(args: argparse.Namespace) -> int:
             raise ValueError("--target-features is required with --scheme hybrid")
         scheme = encoding.HybridCompressed(args.target_features)
     rows = encoding.compare_modalities(specs, scheme)
-    if args.format == "machine":
-        _write(json.dumps(rows) + "\n", None)
-        return 0
-    head = (
-        "label data-points features per-pixel-qubits per-pixel-gates "
-        "whole-image-qubits whole-image-gates"
-    )
-    lines = [head] + [
-        f"{r['label']} {r['data_points']} {r['features']} "
-        f"{r['per_pixel_qubits']} {r['per_pixel_gates']} "
-        f"{r['whole_image_qubits']} {r['whole_image_gates']}"
-        for r in rows
-    ]
-    _write("\n".join(lines) + "\n", None)
+    # the text header is the row keys, dashed
+    header = " ".join(rows[0]).replace("_", "-")
+    _emit(args, rows, _table(header, (r.values() for r in rows)))
     return 0
 
 
@@ -237,11 +220,7 @@ def cmd_advise(args: argparse.Namespace) -> int:
     circuit = _read_circuit(args.circuit) if args.circuit else None
     if args.t_override is not None:
         if circuit is None and args.logical_qubits is None:
-            print(
-                "error: --t-override without a circuit needs --logical-qubits",
-                file=sys.stderr,
-            )
-            return 2
+            raise ValueError("--t-override without a circuit needs --logical-qubits")
         t = args.t_override
         report = advise_counts(
             t,
@@ -256,8 +235,7 @@ def cmd_advise(args: argparse.Namespace) -> int:
             model=model,
         )
     elif circuit is None:
-        print("error: a circuit file (or --t-override) is required", file=sys.stderr)
-        return 2
+        raise ValueError("a circuit file (or --t-override) is required")
     else:
         report = advise(
             circuit,
@@ -284,44 +262,37 @@ BENCH_CLIFFORD_SIZES = (16, 32, 64, 128, 256)
 BENCH_EXTENDED_T = (8, 9, 10, 11, 12, 13, 14)
 
 
+def _clifford_gate(
+    n: int, rng: random.Random, h_below: float, s_below: float
+) -> GateOp:
+    """H if the draw is below h_below, else S if below s_below, else a CNOT."""
+    r = rng.random()
+    if r < h_below:
+        return GateOp(GateKind.H, (rng.randrange(n),))
+    if r < s_below:
+        return GateOp(GateKind.S, (rng.randrange(n),))
+    a = rng.randrange(n)
+    b = rng.randrange(n - 1)
+    return GateOp(GateKind.CNOT, (a, b + 1 if b >= a else b))
+
+
 def _random_clifford_circuit(n: int, m: int, seed: int) -> Circuit:
     rng = random.Random(seed)
-    ops: list[GateOp] = []
-    for _ in range(m):
-        r = rng.random()
-        if r < 0.4:
-            ops.append(GateOp(GateKind.H, (rng.randrange(n),)))
-        elif r < 0.7:
-            ops.append(GateOp(GateKind.S, (rng.randrange(n),)))
-        else:
-            a = rng.randrange(n)
-            b = rng.randrange(n - 1)
-            b = b + 1 if b >= a else b
-            ops.append(GateOp(GateKind.CNOT, (a, b)))
+    ops = [_clifford_gate(n, rng, 0.4, 0.7) for _ in range(m)]
     ops += [GateOp(GateKind.MEASURE, (q,)) for q in range(min(n, 8))]
     return Circuit.from_gates(n, ops)
 
 
 def _low_t_circuit(n: int, t: int, seed: int) -> Circuit:
     rng = random.Random(seed)
-    ops: list[GateOp] = []
     body = 140
-    t_slots = sorted(rng.sample(range(body), t))
-    for i in range(body):
-        if t_slots and i == t_slots[0]:
-            t_slots.pop(0)
-            ops.append(GateOp(GateKind.T, (rng.randrange(n),)))
-        else:
-            r = rng.random()
-            if r < 0.45:
-                ops.append(GateOp(GateKind.H, (rng.randrange(n),)))
-            elif r < 0.75:
-                ops.append(GateOp(GateKind.S, (rng.randrange(n),)))
-            else:
-                a = rng.randrange(n)
-                b = rng.randrange(n - 1)
-                b = b + 1 if b >= a else b
-                ops.append(GateOp(GateKind.CNOT, (a, b)))
+    t_slots = set(rng.sample(range(body), t))
+    ops = [
+        GateOp(GateKind.T, (rng.randrange(n),))
+        if i in t_slots
+        else _clifford_gate(n, rng, 0.45, 0.75)
+        for i in range(body)
+    ]
     ops += [GateOp(GateKind.MEASURE, (q,)) for q in range(n)]
     return Circuit.from_gates(n, ops)
 
@@ -359,12 +330,10 @@ def bench_extended(seed: int = 0, shots: int = 1000) -> list[tuple[int, int, flo
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = _config(args)
     if args.suite == "clifford":
-        rows = bench_clifford(cfg.seed)
-        lines = ["n m seconds"] + [f"{n} {m} {s:.6f}" for n, m, s in rows]
+        header, rows = "n m seconds", bench_clifford(cfg.seed)
     else:
-        rows = bench_extended(cfg.seed)
-        lines = ["t branches seconds"] + [f"{t} {b} {s:.6f}" for t, b, s in rows]
-    _write("\n".join(lines) + "\n", args.output)
+        header, rows = "t branches seconds", bench_extended(cfg.seed)
+    _write(_table(header, ((a, b, f"{s:.6f}") for a, b, s in rows)), args.output)
     return 0
 
 

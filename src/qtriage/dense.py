@@ -2,6 +2,8 @@
 
 This is the reference semantics the simulators and the transpiler are tested
 against. Sizes are capped (n <= 12 for unitary_of) since the build is dense.
+`apply_gate` is the one tensordot gate-apply kernel: the branch engine in
+`simulate` applies its Clifford gates with it too, on a leading branch axis.
 
 The parameterized single-qubit family:
 
@@ -95,18 +97,19 @@ def gate_matrix(g: GateOp) -> np.ndarray:
     raise ValueError(f"no matrix for {k}")
 
 
-def _apply(tensor: np.ndarray, g: GateOp, n: int) -> np.ndarray:
-    """Apply one gate to an array whose first n axes are qubit axes.
+def apply_gate(tensor: np.ndarray, g: GateOp, first: int = 0) -> np.ndarray:
+    """Apply one gate to an array whose qubit axes start at axis `first`.
 
-    Qubit 0 is the first axis (the leftmost bit of a printed bitstring).
-    Works for both statevectors (n axes) and unitaries (n axes + flat input).
+    Qubit 0 is axis `first` (the leftmost bit of a printed bitstring). Axes
+    before `first` (a batch of branches) and after the qubit axes (the flat
+    input of a unitary) are carried through unchanged.
     """
     mat = gate_matrix(g)
     nq = len(g.qubits)
     mat = mat.reshape((2,) * (2 * nq))
-    in_axes = list(range(nq, 2 * nq))
-    moved = np.tensordot(mat, tensor, axes=(in_axes, list(g.qubits)))
-    return np.moveaxis(moved, range(nq), g.qubits)
+    axes = [first + q for q in g.qubits]
+    moved = np.tensordot(mat, tensor, axes=(list(range(nq, 2 * nq)), axes))
+    return np.moveaxis(moved, range(nq), axes)
 
 
 def statevector(circuit: Circuit) -> np.ndarray:
@@ -119,7 +122,7 @@ def statevector(circuit: Circuit) -> np.ndarray:
     for g in circuit.gates():
         if g.is_measure:
             raise ValueError("Measure present; statevector is pre-measurement only")
-        psi = _apply(psi, g, n)
+        psi = apply_gate(psi, g)
     return psi.reshape(-1)
 
 
@@ -137,7 +140,7 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     for g in circuit.gates():
         if g.is_measure:
             raise ValueError("Measure present; circuit has no single unitary")
-        u = _apply(u, g, n)
+        u = apply_gate(u, g)
     return u.reshape(dim, dim)
 
 

@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .circuit import CLIFFORD_KINDS, Circuit, GateKind, GateOp
-from .dense import gate_matrix
+from .dense import apply_gate
 from .tableau import (
     MAX_TABLEAU_BYTES,
     RegimeError,
@@ -197,18 +197,6 @@ def _defer_measures(
     return n_eff, stream, readout
 
 
-def _apply_batched(states: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """Apply a gate matrix to a (batch, 2**n) block of statevectors."""
-    nq = len(qubits)
-    tensor = states.reshape((len(states),) + (2,) * n)
-    axes = [q + 1 for q in qubits]
-    moved = np.tensordot(mat.reshape((2,) * (2 * nq)), tensor, axes=(list(range(nq, 2 * nq)), axes))
-    # tensordot put the new qubit axes first and the batch axis after them
-    moved = np.moveaxis(moved, nq, 0)
-    moved = np.moveaxis(moved, range(1, 1 + nq), axes)
-    return moved.reshape(len(states), -1)
-
-
 def run_extended(
     circuit: Circuit,
     shots: int,
@@ -259,18 +247,13 @@ def run_extended(
     branches = 1 << t
     chunk = max(1, min(branches, _CHUNK_BUDGET // (16 * dim)))
 
-    # per-qubit Z diagonal over the full register, built once
-    z_diag = np.empty((n_eff, dim), dtype=np.float64)
-    idx = np.arange(dim)
-    for q in range(n_eff):
-        z_diag[q] = 1.0 - 2.0 * ((idx >> (n_eff - 1 - q)) & 1)
-
     psi = np.zeros(dim, dtype=complex)
     processed = 0
     for start in range(0, branches, chunk):
         ids = np.arange(start, min(start + chunk, branches), dtype=np.int64)
-        states = np.zeros((len(ids), dim), dtype=complex)
-        states[:, 0] = 1.0
+        # one (branch, 2, ..., 2) block: axis 0 is the branch, qubit q is axis q+1
+        states = np.zeros((len(ids),) + (2,) * n_eff, dtype=complex)
+        states[(slice(None),) + (0,) * n_eff] = 1.0
         weights = np.ones(len(ids), dtype=complex)
         t_seen = 0
         for g in stream:
@@ -279,11 +262,12 @@ def run_extended(
                 branch_bit = ((ids >> t_seen) & 1).astype(bool)
                 t_seen += 1
                 if branch_bit.any():
-                    states[branch_bit] *= z_diag[g.qubits[0]]
+                    # the Z branch flips the sign of the |1> half of the T qubit
+                    states[(branch_bit,) + (slice(None),) * g.qubits[0] + (1,)] *= -1.0
                 weights = np.where(branch_bit, weights * b_coef, weights * a_coef)
             else:
-                states = _apply_batched(states, gate_matrix(g), g.qubits, n_eff)
-        psi += weights @ states
+                states = apply_gate(states, g, first=1)
+        psi += weights @ states.reshape(len(ids), dim)
         processed += len(ids)
     assert processed == branches, "branch count must be exactly 2^t"
 

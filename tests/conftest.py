@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from qtriage.circuit import Circuit, GateKind, GateOp, gate
-from qtriage.dense import gate_matrix
+from qtriage.dense import apply_gate
 from qtriage.synthesis import ApproxTable, default_table
 from qtriage.tableau import Tableau, apply_clifford, measure_with_source
 
@@ -28,14 +28,6 @@ from qtriage.tableau import Tableau, apply_clifford, measure_with_source
 def approx_table() -> ApproxTable:
     # Building the table is the expensive part; share one per run.
     return default_table()
-
-
-def apply_gate(state: np.ndarray, g: GateOp, n: int) -> np.ndarray:
-    """Apply one unitary gate to a state with n qubit axes (qubit 0 first)."""
-    nq = len(g.qubits)
-    mat = gate_matrix(g).reshape((2,) * (2 * nq))
-    moved = np.tensordot(mat, state, axes=(list(range(nq, 2 * nq)), list(g.qubits)))
-    return np.moveaxis(moved, range(nq), g.qubits)
 
 
 def exact_distribution(circuit: Circuit) -> dict[str, float]:
@@ -63,7 +55,7 @@ def exact_distribution(circuit: Circuit) -> dict[str, float]:
                         split.append((w * p, proj / math.sqrt(p), bits + str(bit)))
             branches = split
         else:
-            branches = [(w, apply_gate(psi, g, n), bits) for w, psi, bits in branches]
+            branches = [(w, apply_gate(psi, g), bits) for w, psi, bits in branches]
     out: dict[str, float] = {}
     for w, _, bits in branches:
         out[bits] = out.get(bits, 0.0) + w

@@ -134,6 +134,16 @@ def test_simulate_machine_is_reproducible(capsys, tmp_path) -> None:
     assert sum(doc["histogram"].values()) == 100
 
 
+def test_simulate_machine_keys_and_histogram_are_sorted(capsys, tmp_path) -> None:
+    # three qubits in uniform superposition: up to eight outcomes
+    body = "h 0\nh 1\nh 2\nmeasure 2\nmeasure 0\nmeasure 1\n"
+    f = _circuit_file(tmp_path, "qubits 3\n" + body)
+    code, out, _ = _run(capsys, "simulate", f, "--shots", "200", "--format", "machine")
+    assert code == 0
+    assert len(json.loads(out)["histogram"]) >= 3
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
 def test_simulate_lowers_grid_rotations_with_a_note(capsys, tmp_path) -> None:
     # rz(pi/4) lowers to a single T, so the extended engine stays in budget
     f = _circuit_file(tmp_path, f"qubits 1\nh 0\nrz({math.pi / 4!r}) 0\nh 0\nmeasure 0\n")
@@ -192,6 +202,13 @@ def test_estimate_infeasible_exit_code(capsys, tmp_path) -> None:
     code, _, err = _run(capsys, "--config", str(conf), "estimate", "-q", "1", "-t", "1")
     assert code == 11
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("value", ["inf", "1e400", "nan"])
+def test_estimate_rejects_non_finite_t(capsys, value) -> None:
+    code, out, err = _run(capsys, "estimate", "-q", "5", "-t", "3", value)
+    assert code == 2 and out == ""
+    assert err == f"error: T value {value!r} is not finite\n"
 
 
 def test_encode_matches_library_rows(capsys) -> None:

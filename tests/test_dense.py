@@ -7,6 +7,7 @@ expected values here are written out longhand rather than computed.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 
@@ -14,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtriage.circuit import Circuit, gate, parse_circuit
+from qtriage.circuit import Circuit, GateKind, gate, parse_circuit
 from qtriage.dense import (
+    apply_gate,
     gate_matrix,
     phase_insensitive_fidelity,
     statevector,
@@ -157,3 +159,29 @@ def test_su2_distance_small_angle() -> None:
     th = 0.2
     d = su2_distance(gate_matrix(gate("rz", 0, angles=[th])), np.eye(2))
     assert d == pytest.approx(2.0 * math.sin(th / 4.0), abs=1e-12)
+
+
+_ANGLES = {"u1": 1, "u2": 2, "u3": 3, "rx": 1, "ry": 1, "rz": 1}  # the rest take none
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_apply_gate_on_a_branch_block_matches_each_row(n: int) -> None:
+    # the branch engine's (branch, 2, ..., 2) block, first=1, against one row
+    # at a time: exact from n = 3; at n = 2 a row is a 1- or 2-column product
+    # that BLAS rounds by another kernel (up to 4.5e-16 apart), so only close
+    rng = np.random.default_rng(n)
+    block = rng.normal(size=(5,) + (2,) * n) + 1j * rng.normal(size=(5,) + (2,) * n)
+    for kind in GateKind:
+        if kind is GateKind.MEASURE:
+            continue
+        angles = tuple(rng.uniform(0.0, 2.0 * math.pi, _ANGLES.get(kind.value, 0)))
+        # every qubit, and every ordered pair for CNOT and CZ
+        arity = 2 if kind in (GateKind.CNOT, GateKind.CZ) else 1
+        for qubits in itertools.permutations(range(n), arity):
+            g = gate(kind, *qubits, angles=angles)
+            got = apply_gate(block, g, first=1)
+            want = np.stack([apply_gate(row, g) for row in block])
+            if n >= 3:
+                assert np.array_equal(got, want), (kind, qubits)
+            else:
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
