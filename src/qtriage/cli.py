@@ -162,10 +162,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _t_value(text: str) -> int:
-    """A T-count argument: any finite number, truncated toward zero."""
+    """A T-count argument: a whole number >= 0, also in float form (1e8)."""
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"T value {text!r} is not finite")
+    if value != int(value):
+        raise ValueError(f"T value {text!r} is not a whole number")
+    if value < 0:
+        raise ValueError(f"T value {text!r} is negative")
     return int(value)
 
 

@@ -211,6 +211,13 @@ def test_estimate_rejects_non_finite_t(capsys, value) -> None:
     assert err == f"error: T value {value!r} is not finite\n"
 
 
+@pytest.mark.parametrize("value, why", [("3.7", "is not a whole number"), ("-3", "is negative")])
+def test_estimate_rejects_fractional_and_negative_t(capsys, value, why) -> None:
+    code, out, err = _run(capsys, "estimate", "-q", "5", "-t", "3", value)
+    assert code == 2 and out == ""
+    assert err == f"error: T value {value!r} {why}\n"
+
+
 def test_encode_matches_library_rows(capsys) -> None:
     specs = ["610x340x103:hyperspectral", "5x5x3:polarimetric:symmetric"]
     code, out, _ = _run(capsys, "encode", *specs, "--format", "machine")

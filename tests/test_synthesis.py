@@ -6,12 +6,14 @@ hand-typed literals, keeping the two representations mutually accountable.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from qtriage import synthesis
 from qtriage.circuit import GateKind, gate
 from qtriage.dense import gate_matrix, su2_distance
 from qtriage.synthesis import (
@@ -129,6 +131,95 @@ def test_table_query_finds_members_exactly(small_table: ApproxTable) -> None:
         assert quat_dist(small_table.quats[idx], small_table.quats[i]) < 1e-6
 
 
+def _bfs_quats(table: ApproxTable) -> np.ndarray:
+    """The table's quaternions in breadth-first order."""
+    out = np.empty_like(table.quats)
+    out[table.bfs_index] = table.quats
+    return out
+
+
+def _assert_query_is_full_scan(table: ApproxTable, targets: np.ndarray) -> None:
+    """query() picks the row a full scan in breadth-first order picks."""
+    bfs_quats = _bfs_quats(table)
+    for t in targets:
+        idx, dist = table.query(t)
+        dots = np.abs(bfs_quats @ t)
+        want = int(np.argmax(dots))
+        assert int(table.bfs_index[idx]) == want
+        assert dist == math.sqrt(2.0 * (1.0 - min(float(dots[want]), 1.0)))
+
+
+def _random_unit_quats(rng: np.random.Generator, count: int) -> np.ndarray:
+    q = rng.normal(size=(count, 4))
+    return q / np.linalg.norm(q, axis=1)[:, None]
+
+
+def test_table_rows_are_sorted_by_band_key(small_table: ApproxTable) -> None:
+    assert np.array_equal(small_table.band_key, small_table.quats[:, synthesis._BAND_AXIS])
+    assert np.all(np.diff(small_table.band_key) >= 0.0)
+    assert np.array_equal(np.sort(small_table.bfs_index), np.arange(len(small_table)))
+    # breadth-first order survives the sort: a parent precedes its child
+    has_parent = small_table.parents >= 0
+    parents_bfs = small_table.bfs_index[small_table.parents[has_parent]]
+    assert np.all(parents_bfs < small_table.bfs_index[has_parent])
+
+
+def test_band_query_matches_full_scan_on_random_targets(small_table: ApproxTable) -> None:
+    _assert_query_is_full_scan(small_table, _random_unit_quats(np.random.default_rng(11), 2000))
+
+
+def test_band_query_matches_full_scan_on_the_default_table(approx_table: ApproxTable) -> None:
+    rng = np.random.default_rng(12)
+    # the refinement's factors are rotations by small angles
+    axes = _random_unit_quats(rng, 150)[:, 1:]
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    angles = rng.uniform(0.005, 0.6, size=150)
+    near_identity = np.column_stack(
+        [np.cos(angles / 2.0), np.sin(angles / 2.0)[:, None] * axes]
+    )
+    targets = np.concatenate([_random_unit_quats(rng, 150), near_identity])
+    _assert_query_is_full_scan(approx_table, targets)
+
+
+def test_band_query_finds_members_and_their_negatives(small_table: ApproxTable) -> None:
+    rows = np.random.default_rng(13).choice(len(small_table), size=200, replace=False)
+    members = small_table.quats[rows]
+    _assert_query_is_full_scan(small_table, np.concatenate([members, -members]))
+    for q in np.concatenate([members, -members]):
+        assert small_table.query(q)[1] < 1e-6
+
+
+def test_band_query_breaks_ties_by_breadth_first_index(small_table: ApproxTable) -> None:
+    # an RZ target's dot product sees coordinates 0 and 3 only, so rows that
+    # differ in coordinates 1 and 2 alone tie exactly
+    targets = np.array([rz_quat(k * math.pi / 64.0) for k in range(128)])
+    _assert_query_is_full_scan(small_table, targets)
+    out_of_order = 0
+    for t in targets:
+        dots = np.abs(small_table.quats @ t)
+        rows = np.flatnonzero(dots == dots.max())
+        if len(rows) > 1:
+            idx, _ = small_table.query(t)
+            assert idx in rows
+            out_of_order += int(small_table.bfs_index[rows[0]] > small_table.bfs_index[idx])
+    # some tie is not resolved by the sorted position alone
+    assert out_of_order > 0
+
+
+def test_band_query_widens_to_a_full_scan_on_a_small_table(monkeypatch) -> None:
+    table = build_table(2_000)
+    scans: list[int] = []
+    best_of = ApproxTable._best_of
+
+    def counting(self, target, slices):
+        scans.append(sum(sl.stop - sl.start for sl in slices))
+        return best_of(self, target, slices)
+
+    monkeypatch.setattr(ApproxTable, "_best_of", counting)
+    _assert_query_is_full_scan(table, _random_unit_quats(np.random.default_rng(14), 300))
+    assert len(table) in scans
+
+
 def test_table_growth_is_monotone() -> None:
     small, larger = build_table(2_000), build_table(20_000)
     assert len(larger) > len(small)
@@ -177,3 +268,32 @@ def test_epsilon_floor_and_range(approx_table: ApproxTable) -> None:
 
 def test_default_table_is_cached() -> None:
     assert default_table() is default_table()
+
+
+# sha256 digests taken before the band-indexed query and the float-tuple
+# refinement replaced the full scan and the numpy 4-vectors: one of the words
+# and distances approximate_rz returned for these angles, one of the set of
+# targets the refinement handed to the table. A changed tie-break moves a
+# word; a reordered float product moves a target's last bits, which the
+# words alone may not show.
+_GOLDEN_ANGLES = [0.05 + 0.26 * i for i in range(24)]
+_GOLDEN_WORDS = "4c6ed6fa33f9972b6e0e3120078853c163fc86ff6e1573558deb98a93732d511"
+_GOLDEN_TARGETS = "13118d999ebcfe7039eceb297292f8c4cc32a3ad40559e0443268772bb347984"
+
+
+def test_approximate_rz_matches_the_golden_digests(approx_table: ApproxTable, monkeypatch) -> None:
+    targets: set[str] = set()
+    query = ApproxTable.query
+
+    def recording(self, target):
+        targets.add(repr(tuple(float(x) for x in target)))
+        return query(self, target)
+
+    monkeypatch.setattr(ApproxTable, "query", recording)
+    words = hashlib.sha256()
+    for eps in (1e-2, 1e-3):
+        for theta in _GOLDEN_ANGLES:
+            word, dist = approximate_rz(theta, eps, approx_table)
+            words.update(f"{eps!r} {theta!r} {' '.join(k.value for k in word)} {dist!r}\n".encode())
+    assert words.hexdigest() == _GOLDEN_WORDS
+    assert hashlib.sha256("\n".join(sorted(targets)).encode()).hexdigest() == _GOLDEN_TARGETS
