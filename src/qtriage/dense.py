@@ -2,8 +2,17 @@
 
 This is the reference semantics the simulators and the transpiler are tested
 against. Sizes are capped (n <= 12 for unitary_of) since the build is dense.
-`apply_gate` is the one tensordot gate-apply kernel: the branch engine in
-`simulate` applies its Clifford gates with it too, on a leading branch axis.
+
+`apply_gate` is the one gate-apply kernel; the branch engine in `simulate`
+applies its Clifford gates with it too, on a leading branch axis. X, Y, Z, S,
+SDG, CNOT and CZ are slice swaps and +-1 or +-1j multiplies, done in place on
+a contiguous array: every product is exact, so the result is bit-identical to
+the matrix product (up to the sign of a zero). Every other kind is one
+tensordot with its matrix, whose result is made contiguous again.
+
+`statevector` and `unitary_of` share one pass, `_evolve`, which multiplies
+each run of single-qubit gates on a qubit into one 2x2 and applies it when a
+two-qubit gate touches that qubit or the pass ends.
 
 The parameterized single-qubit family:
 
@@ -31,12 +40,45 @@ MAX_DENSE_QUBITS = 12
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
+# matrices of the kinds without angles, built once
+_FIXED_MATRICES: dict[GateKind, np.ndarray] = {
+    GateKind.H: _SQRT1_2 * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex),
+    GateKind.S: np.array([[1.0, 0.0], [0.0, 1j]], dtype=complex),
+    GateKind.SDG: np.array([[1.0, 0.0], [0.0, -1j]], dtype=complex),
+    GateKind.T: np.array([[1.0, 0.0], [0.0, cmath.exp(0.25j * math.pi)]], dtype=complex),
+    GateKind.TDG: np.array(
+        [[1.0, 0.0], [0.0, cmath.exp(-0.25j * math.pi)]], dtype=complex
+    ),
+    GateKind.X: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    GateKind.Y: np.array([[0.0, -1j], [1j, 0.0]], dtype=complex),
+    GateKind.Z: np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    GateKind.CNOT: np.array(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+    ),
+    GateKind.CZ: np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex),
+}
+for _m in _FIXED_MATRICES.values():
+    _m.flags.writeable = False
+
+_FIXED_ENTRIES = {
+    k: tuple(m.ravel().tolist()) for k, m in _FIXED_MATRICES.items() if m.shape == (2, 2)
+}
+
+# single-qubit kinds diag(1, phase): apply_gate multiplies the |1> half in place
+_PHASES = {GateKind.Z: -1.0, GateKind.S: 1j, GateKind.SDG: -1j}
+
 
 def gate_matrix(g: GateOp) -> np.ndarray:
-    """Exact matrix for one gate: 2x2, or 4x4 for CNOT/CZ. Measure is rejected."""
+    """Exact matrix for one gate: 2x2, or 4x4 for CNOT/CZ. Measure is rejected.
+
+    Kinds without angles return one shared read-only array.
+    """
     k = g.kind
     if k is GateKind.MEASURE:
         raise ValueError("Measure has no unitary matrix")
+    fixed = _FIXED_MATRICES.get(k)
+    if fixed is not None:
+        return fixed
     if k is GateKind.U1:
         (lam,) = g.angles
         return np.array([[1.0, 0.0], [0.0, cmath.exp(1j * lam)]], dtype=complex)
@@ -59,22 +101,6 @@ def gate_matrix(g: GateOp) -> np.ndarray:
             ],
             dtype=complex,
         )
-    if k is GateKind.H:
-        return _SQRT1_2 * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
-    if k is GateKind.S:
-        return np.array([[1.0, 0.0], [0.0, 1j]], dtype=complex)
-    if k is GateKind.SDG:
-        return np.array([[1.0, 0.0], [0.0, -1j]], dtype=complex)
-    if k is GateKind.T:
-        return np.array([[1.0, 0.0], [0.0, cmath.exp(0.25j * math.pi)]], dtype=complex)
-    if k is GateKind.TDG:
-        return np.array([[1.0, 0.0], [0.0, cmath.exp(-0.25j * math.pi)]], dtype=complex)
-    if k is GateKind.X:
-        return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    if k is GateKind.Y:
-        return np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
-    if k is GateKind.Z:
-        return np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     if k is GateKind.RX:
         (th,) = g.angles
         c, s = math.cos(th / 2.0), math.sin(th / 2.0)
@@ -88,13 +114,33 @@ def gate_matrix(g: GateOp) -> np.ndarray:
         return np.array(
             [[cmath.exp(-0.5j * th), 0.0], [0.0, cmath.exp(0.5j * th)]], dtype=complex
         )
-    if k is GateKind.CNOT:
-        return np.array(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-        )
-    if k is GateKind.CZ:
-        return np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
     raise ValueError(f"no matrix for {k}")
+
+
+def _split(tensor: np.ndarray, *axes: int) -> np.ndarray:
+    """View of a contiguous array with each of the sorted `axes` kept as a
+    length-2 axis and the runs of axes before, between and after them merged."""
+    dims: list[int] = []
+    prev = 0
+    for a in axes:
+        dims += [math.prod(tensor.shape[prev:a]), 2]
+        prev = a + 1
+    dims.append(math.prod(tensor.shape[prev:]))
+    return tensor.reshape(dims)
+
+
+def _swap(a: np.ndarray, b: np.ndarray) -> None:
+    held = a.copy()
+    a[...] = b
+    b[...] = held
+
+
+def _apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes: list[int]) -> np.ndarray:
+    """Contract a 2^k x 2^k matrix into the k qubit `axes`; contiguous result."""
+    nq = len(axes)
+    mat = mat.reshape((2,) * (2 * nq))
+    moved = np.tensordot(mat, tensor, axes=(list(range(nq, 2 * nq)), axes))
+    return np.ascontiguousarray(np.moveaxis(moved, range(nq), axes))
 
 
 def apply_gate(tensor: np.ndarray, g: GateOp, first: int = 0) -> np.ndarray:
@@ -103,13 +149,70 @@ def apply_gate(tensor: np.ndarray, g: GateOp, first: int = 0) -> np.ndarray:
     Qubit 0 is axis `first` (the leftmost bit of a printed bitstring). Axes
     before `first` (a batch of branches) and after the qubit axes (the flat
     input of a unitary) are carried through unchanged.
+
+    A contiguous complex input may be overwritten: use the returned array,
+    not the argument, after the call.
     """
-    mat = gate_matrix(g)
-    nq = len(g.qubits)
-    mat = mat.reshape((2,) * (2 * nq))
+    tensor = np.ascontiguousarray(tensor, dtype=complex)
+    k = g.kind
     axes = [first + q for q in g.qubits]
-    moved = np.tensordot(mat, tensor, axes=(list(range(nq, 2 * nq)), axes))
-    return np.moveaxis(moved, range(nq), axes)
+    if k in _PHASES:
+        _split(tensor, axes[0])[:, 1] *= _PHASES[k]
+    elif k is GateKind.X:
+        v = _split(tensor, axes[0])
+        _swap(v[:, 0], v[:, 1])
+    elif k is GateKind.Y:
+        # Y|0> = i|1>, Y|1> = -i|0>
+        v = _split(tensor, axes[0])
+        held = v[:, 0] * 1j
+        np.multiply(v[:, 1], -1j, out=v[:, 0])
+        v[:, 1] = held
+    elif k is GateKind.CZ:
+        _split(tensor, *sorted(axes))[:, 1, :, 1] *= -1.0
+    elif k is GateKind.CNOT:
+        control, target = axes
+        v = _split(tensor, *sorted(axes))
+        if control < target:
+            _swap(v[:, 1, :, 0], v[:, 1, :, 1])
+        else:
+            _swap(v[:, 0, :, 1], v[:, 1, :, 1])
+    else:
+        tensor = _apply_matrix(tensor, gate_matrix(g), axes)
+    return tensor
+
+
+def _evolve(tensor: np.ndarray, circuit: Circuit, what: str) -> np.ndarray:
+    """Apply every gate of `circuit` to `tensor` (qubit 0 on axis 0).
+
+    Each run of single-qubit gates on one qubit is multiplied into one 2x2,
+    which is applied when a two-qubit gate touches the qubit or at the end.
+    Measure gates are rejected with a message that ends in `what`.
+    """
+    # qubit -> its pending 2x2 as a row-major 4-tuple of Python complex,
+    # which multiplies faster than a numpy 2x2
+    pending: dict[int, tuple[complex, ...]] = {}
+    for g in circuit.gates():
+        if g.is_measure:
+            raise ValueError(f"Measure present; {what}")
+        if len(g.qubits) == 1:
+            q = g.qubits[0]
+            a = _FIXED_ENTRIES.get(g.kind) or tuple(gate_matrix(g).ravel().tolist())
+            if q in pending:
+                a0, a1, a2, a3 = a
+                b0, b1, b2, b3 = pending[q]
+                a = (
+                    a0 * b0 + a1 * b2, a0 * b1 + a1 * b3,
+                    a2 * b0 + a3 * b2, a2 * b1 + a3 * b3,
+                )
+            pending[q] = a
+            continue
+        for q in g.qubits:
+            if q in pending:
+                tensor = _apply_matrix(tensor, np.reshape(pending.pop(q), (2, 2)), [q])
+        tensor = apply_gate(tensor, g)
+    for q in sorted(pending):
+        tensor = _apply_matrix(tensor, np.reshape(pending[q], (2, 2)), [q])
+    return tensor
 
 
 def statevector(circuit: Circuit) -> np.ndarray:
@@ -119,11 +222,7 @@ def statevector(circuit: Circuit) -> np.ndarray:
         raise ValueError(f"dense statevector capped at n={MAX_DENSE_QUBITS}")
     psi = np.zeros((2,) * n, dtype=complex)
     psi[(0,) * n] = 1.0
-    for g in circuit.gates():
-        if g.is_measure:
-            raise ValueError("Measure present; statevector is pre-measurement only")
-        psi = apply_gate(psi, g)
-    return psi.reshape(-1)
+    return _evolve(psi, circuit, "statevector is pre-measurement only").reshape(-1)
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
@@ -137,11 +236,7 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
         raise ValueError(f"unitary_of capped at n={MAX_DENSE_QUBITS}")
     dim = 2**n
     u = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
-    for g in circuit.gates():
-        if g.is_measure:
-            raise ValueError("Measure present; circuit has no single unitary")
-        u = apply_gate(u, g)
-    return u.reshape(dim, dim)
+    return _evolve(u, circuit, "circuit has no single unitary").reshape(dim, dim)
 
 
 def phase_insensitive_fidelity(a: np.ndarray, b: np.ndarray) -> float:

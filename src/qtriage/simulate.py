@@ -10,7 +10,9 @@ matrix product.
 run_extended: exact dense expansion of each T gate into two Clifford branches
 (T = a*I + b*Z), evolving all 2^t branch statevectors and sampling from the
 recombined amplitudes. Deliberately the naive expansion; the 2^t growth is
-the point.
+the point. Branches are evolved in sub-blocks of 512 KiB that run every
+gate before the next sub-block starts, so each sub-block stays in cache while
+`dense.apply_gate` updates its Clifford gates in place.
 
 Shots and branches are embarrassingly parallel; a Tableau instance itself
 must never be shared between concurrent workers.
@@ -40,6 +42,11 @@ DEFAULT_T_MAX = 16
 
 # branch-chunk memory budget for the extended engine, in bytes
 _CHUNK_BUDGET = 1 << 28
+# bytes of branch states evolved together inside a chunk: each sub-block runs
+# every gate before the next starts, so it stays in a core's L2 cache. Of
+# 0.5, 1, 2 and 4 MiB, 0.5 MiB ran the n = 10, t = 10 and t = 11 bench
+# circuits fastest on a 2-core host with 2 MiB of L2 per core.
+_SUB_BLOCK_BYTES = 1 << 19
 
 _T_COEFFS = {
     # T = a*I + b*Z and likewise for Tdg, from diag(1, e^{+-i pi/4})
@@ -197,6 +204,28 @@ def _defer_measures(
     return n_eff, stream, readout
 
 
+def _evolve_branches(ids: np.ndarray, stream: list[GateOp], n_eff: int) -> np.ndarray:
+    """Final states of the branches numbered `ids`, shape (len(ids), 2, ..., 2).
+
+    Bit j of a branch's number picks the Z term of the stream's j-th T gate,
+    so `ids` must be the global numbers, not positions in a sub-block.
+    """
+    # axis 0 is the branch, qubit q is axis q+1
+    states = np.zeros((len(ids),) + (2,) * n_eff, dtype=complex)
+    states[(slice(None),) + (0,) * n_eff] = 1.0
+    t_seen = 0
+    for g in stream:
+        if g.kind in _T_COEFFS:
+            branch_bit = ((ids >> t_seen) & 1).astype(bool)
+            t_seen += 1
+            if branch_bit.any():
+                # the Z branch flips the sign of the |1> half of the T qubit
+                states[(branch_bit,) + (slice(None),) * g.qubits[0] + (1,)] *= -1.0
+        else:
+            states = apply_gate(states, g, first=1)
+    return states
+
+
 def run_extended(
     circuit: Circuit,
     shots: int,
@@ -207,8 +236,11 @@ def run_extended(
     """Exact low-T simulation by 2^t Clifford-branch expansion.
 
     Every T/Tdg splits the state into an identity branch and a Z branch;
-    branches evolve as dense vectors (vectorized in chunks) and recombine
-    before sampling. Measures are deferred exactly; see _defer_measures.
+    branches evolve as dense vectors and recombine before sampling. Each
+    chunk of branches (up to _CHUNK_BUDGET bytes) is one block that is
+    recombined with one weights @ block product; inside it, sub-blocks of
+    _SUB_BLOCK_BYTES run every gate in turn and write their final states into
+    the block. Measures are deferred exactly; see _defer_measures.
 
     Raises:
         BudgetError: more than t_max T gates.
@@ -242,32 +274,28 @@ def run_extended(
     if 16 * dim > _CHUNK_BUDGET:
         raise ValueError(
             f"extended engine needs {n_eff} dense qubits (with deferred "
-            f"measures), past the memory budget"
+            f"measures): one branch state takes {16 * dim} bytes, past the "
+            f"{_CHUNK_BUDGET}-byte budget"
         )
     branches = 1 << t
     chunk = max(1, min(branches, _CHUNK_BUDGET // (16 * dim)))
+    sub = max(1, _SUB_BLOCK_BYTES // (16 * dim))
+    t_gates = [g for g in stream if g.kind in _T_COEFFS]
 
     psi = np.zeros(dim, dtype=complex)
     processed = 0
     for start in range(0, branches, chunk):
         ids = np.arange(start, min(start + chunk, branches), dtype=np.int64)
-        # one (branch, 2, ..., 2) block: axis 0 is the branch, qubit q is axis q+1
-        states = np.zeros((len(ids),) + (2,) * n_eff, dtype=complex)
-        states[(slice(None),) + (0,) * n_eff] = 1.0
         weights = np.ones(len(ids), dtype=complex)
-        t_seen = 0
-        for g in stream:
-            if g.kind in _T_COEFFS:
-                a_coef, b_coef = _T_COEFFS[g.kind]
-                branch_bit = ((ids >> t_seen) & 1).astype(bool)
-                t_seen += 1
-                if branch_bit.any():
-                    # the Z branch flips the sign of the |1> half of the T qubit
-                    states[(branch_bit,) + (slice(None),) * g.qubits[0] + (1,)] *= -1.0
-                weights = np.where(branch_bit, weights * b_coef, weights * a_coef)
-            else:
-                states = apply_gate(states, g, first=1)
-        psi += weights @ states.reshape(len(ids), dim)
+        for j, g in enumerate(t_gates):
+            a_coef, b_coef = _T_COEFFS[g.kind]
+            branch_bit = ((ids >> j) & 1).astype(bool)
+            weights = np.where(branch_bit, weights * b_coef, weights * a_coef)
+        block = np.empty((len(ids), dim), dtype=complex)
+        for s in range(0, len(ids), sub):
+            states = _evolve_branches(ids[s : s + sub], stream, n_eff)
+            block[s : s + sub] = states.reshape(-1, dim)
+        psi += weights @ block
         processed += len(ids)
     assert processed == branches, "branch count must be exactly 2^t"
 

@@ -8,6 +8,10 @@ gates; generators keep that small.
 ``reference_run_clifford`` is the probe sampler the one-pass engine replaced:
 it re-runs the tableau once per random event and reads only concrete
 outcomes, never the sign forms the engine is checked on.
+
+``matrix_product_apply``, ``reference_statevector`` and ``reference_unitary``
+are the per-gate tensordot oracle that ``dense`` replaced with in-place
+Clifford kernels and a fused pass: one matrix product per gate, nothing fused.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 import pytest
 
 from qtriage.circuit import Circuit, GateKind, GateOp, gate
-from qtriage.dense import apply_gate
+from qtriage.dense import apply_gate, gate_matrix
 from qtriage.synthesis import ApproxTable, default_table
 from qtriage.tableau import Tableau, apply_clifford, measure_with_source
 
@@ -60,6 +64,32 @@ def exact_distribution(circuit: Circuit) -> dict[str, float]:
     for w, _, bits in branches:
         out[bits] = out.get(bits, 0.0) + w
     return out
+
+
+def matrix_product_apply(tensor: np.ndarray, g: GateOp, first: int = 0) -> np.ndarray:
+    """One gate as the product of its matrix with the qubit axes (from `first`)."""
+    nq = len(g.qubits)
+    mat = gate_matrix(g).reshape((2,) * (2 * nq))
+    axes = [first + q for q in g.qubits]
+    moved = np.tensordot(mat, tensor, axes=(list(range(nq, 2 * nq)), axes))
+    return np.moveaxis(moved, range(nq), axes)
+
+
+def reference_statevector(circuit: Circuit) -> np.ndarray:
+    n = circuit.n_qubits
+    psi = np.zeros((2,) * n, dtype=complex)
+    psi[(0,) * n] = 1.0
+    for g in circuit.gates():
+        psi = matrix_product_apply(psi, g)
+    return psi.reshape(-1)
+
+
+def reference_unitary(circuit: Circuit) -> np.ndarray:
+    dim = 2**circuit.n_qubits
+    u = np.eye(dim, dtype=complex).reshape((2,) * circuit.n_qubits + (dim,))
+    for g in circuit.gates():
+        u = matrix_product_apply(u, g)
+    return u.reshape(dim, dim)
 
 
 def _probe_outcomes(circuit: Circuit, forced_bits: np.ndarray) -> tuple[np.ndarray, int]:
@@ -147,10 +177,16 @@ def random_clifford_circuit(
 
 
 def random_low_t_circuit(
-    rng: random.Random, n: int, m: int, t: int, measured: int | None = None
+    rng: random.Random,
+    n: int,
+    m: int,
+    t: int,
+    measured: int | None = None,
+    mid_measures: int = 0,
 ) -> Circuit:
-    """Clifford body of m gates with exactly t T/Tdg gates mixed in."""
-    body = random_clifford_circuit(rng, n, m, measured=0)
+    """Clifford body of m gates (and any mid-circuit measures) with exactly t
+    T/Tdg gates mixed in."""
+    body = random_clifford_circuit(rng, n, m, measured=0, mid_measures=mid_measures)
     ops = [g for g in body.gates()]
     for _ in range(t):
         ops.insert(rng.randrange(len(ops) + 1), gate(rng.choice(("t", "tdg")), rng.randrange(n)))

@@ -354,6 +354,23 @@ def test_oversized_sampling_is_refused_before_allocation(capsys, tmp_path) -> No
     assert peak < 16 << 20
 
 
+def test_oversized_branch_state_is_refused_before_allocation(capsys, tmp_path) -> None:
+    # 25 dense qubits: one branch state alone would take 512 MiB
+    f = _circuit_file(tmp_path, "qubits 25\nh 0\nt 0\nmeasure 0\n")
+    tracemalloc.start()
+    try:
+        code, out, err = _run(capsys, "simulate", f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "536870912 bytes" in err and "268435456-byte budget" in err
+    assert "Traceback" not in err
+    assert peak < 16 << 20
+
+
 def test_missing_file(capsys) -> None:
     code, _, err = _run(capsys, "count", "/nonexistent/c.qc")
     assert code == 2

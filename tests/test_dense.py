@@ -25,7 +25,15 @@ from qtriage.dense import (
     unitary_of,
 )
 
-from conftest import random_mixed_circuit
+from qtriage.synthesis import ApproxTable
+from qtriage.transpiler import SynthesisMode, transpile
+
+from conftest import (
+    matrix_product_apply,
+    random_mixed_circuit,
+    reference_statevector,
+    reference_unitary,
+)
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _E = cmath.exp
@@ -179,9 +187,54 @@ def test_apply_gate_on_a_branch_block_matches_each_row(n: int) -> None:
         arity = 2 if kind in (GateKind.CNOT, GateKind.CZ) else 1
         for qubits in itertools.permutations(range(n), arity):
             g = gate(kind, *qubits, angles=angles)
-            got = apply_gate(block, g, first=1)
-            want = np.stack([apply_gate(row, g) for row in block])
+            # apply_gate may overwrite its input, so each call gets a copy
+            got = apply_gate(block.copy(), g, first=1)
+            want = np.stack([apply_gate(row.copy(), g) for row in block])
             if n >= 3:
                 assert np.array_equal(got, want), (kind, qubits)
             else:
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_in_place_kinds_equal_the_matrix_product_bit_for_bit(first: int) -> None:
+    # a leading branch axis when first = 1 and a trailing axis as unitary_of has
+    n = 4
+    shape = (3,) * first + (2,) * n + (5,)
+    rng = np.random.default_rng(first)
+    block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    block.real[rng.random(shape) < 0.2] = 0.0
+    block.imag[rng.random(shape) < 0.2] = 0.0
+    block[rng.random(shape) < 0.1] = 0.0
+    for kind in ("x", "y", "z", "s", "sdg", "cnot", "cz"):
+        arity = 2 if kind in ("cnot", "cz") else 1
+        for qubits in itertools.permutations(range(n), arity):
+            g = gate(kind, *qubits)
+            got = apply_gate(block.copy(), g, first=first)
+            want = np.ascontiguousarray(matrix_product_apply(block, g, first=first))
+            assert np.array_equal(got, want), (kind, qubits)
+
+
+def test_apply_gate_returns_contiguous_arrays() -> None:
+    tensor = np.ones((3, 2, 2, 2), dtype=complex)
+    for g in (gate("h", 1), gate("ry", 2, angles=[0.3]), gate("x", 0), gate("cnot", 2, 0)):
+        tensor = apply_gate(tensor, g, first=1)
+        assert tensor.flags.c_contiguous, g.kind
+
+
+def test_fused_oracle_matches_the_per_gate_product() -> None:
+    rng = random.Random(2718)
+    for _ in range(200):
+        c = random_mixed_circuit(rng, rng.randint(1, 5), rng.randint(1, 40))
+        assert np.abs(unitary_of(c) - reference_unitary(c)).max() <= 1e-12
+        assert np.abs(statevector(c) - reference_statevector(c)).max() <= 1e-12
+
+
+def test_fused_oracle_on_sequence_lowered_circuits(approx_table: ApproxTable) -> None:
+    # thousands of H/S/T gates between CNOTs: long runs to fuse
+    rng = random.Random(3141)
+    for _ in range(3):
+        c = random_mixed_circuit(rng, rng.randint(2, 4), 10)
+        lowered = transpile(c, 1e-3, SynthesisMode.SEQUENCE, table=approx_table).circuit
+        assert np.abs(unitary_of(lowered) - reference_unitary(lowered)).max() <= 1e-12
+        assert np.abs(statevector(lowered) - reference_statevector(lowered)).max() <= 1e-12

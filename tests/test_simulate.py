@@ -8,6 +8,7 @@ import random
 import pytest
 
 from qtriage import simulate
+from qtriage.cli import _low_t_circuit
 from qtriage.circuit import Circuit, GateKind, gate, parse_circuit
 from qtriage.simulate import (
     BudgetError,
@@ -207,6 +208,36 @@ def test_extended_histograms_track_exact_distribution(seed: int) -> None:
     hist = run_extended(c, shots, seed=seed)
     assert sum(hist.values()) == shots
     assert tv_distance(exact, hist, shots) <= 0.02
+
+
+def _histograms_by_sub_block(monkeypatch, c: Circuit, seed: int) -> list[dict[str, int]]:
+    """run_extended's histograms with sub-blocks of 1 branch, 3 branches and the default."""
+    n_eff = simulate._defer_measures(c)[0]
+    sizes = (16 << n_eff, 3 * (16 << n_eff), simulate._SUB_BLOCK_BYTES)
+    out = []
+    for size in sizes:
+        monkeypatch.setattr(simulate, "_SUB_BLOCK_BYTES", size)
+        out.append(run_extended(c, 2000, seed=seed))
+    return out
+
+
+def test_sub_block_size_does_not_change_histograms(monkeypatch) -> None:
+    rng = random.Random(404)
+    for i in range(100):
+        n = rng.randint(2, 6)
+        # a third get two mid-circuit measures, whose ancillas widen n_eff
+        c = random_low_t_circuit(
+            rng, n, rng.randint(5, 40), rng.randint(1, 7), mid_measures=2 if i % 3 == 0 else 0
+        )
+        one, three, default = _histograms_by_sub_block(monkeypatch, c, seed=i)
+        assert one == three == default, i
+
+
+def test_sub_block_size_does_not_change_bench_histograms(monkeypatch) -> None:
+    # the criterion-6 bench circuits, where sub-blocks split 256 to 1024 branches
+    for t in (8, 9, 10):
+        one, three, default = _histograms_by_sub_block(monkeypatch, _low_t_circuit(10, t, t), 0)
+        assert one == three == default, t
 
 
 def test_extended_deterministic_per_seed() -> None:
