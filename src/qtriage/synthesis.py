@@ -36,6 +36,9 @@ DEFAULT_TABLE_SIZE = 2_000_000
 
 _MAX_SK_LEVEL = 4
 
+# Parent rows per block when the table build expands a round.
+_BUILD_BLOCK = 1 << 14
+
 # The table's rows are sorted by this quaternion coordinate. Most queries are
 # the refinement's near-identity factors, whose coordinate 0 sits near 1,
 # where few rows do.
@@ -274,7 +277,7 @@ class ApproxTable:
         return best, best_f
 
 
-def _new_rows(cand: np.ndarray, keys_sorted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _new_rows(keys: np.ndarray, keys_sorted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the round's new candidates in order, and the table's sorted
     keys with theirs merged in.
 
@@ -282,7 +285,6 @@ def _new_rows(cand: np.ndarray, keys_sorted: np.ndarray) -> tuple[np.ndarray, np
     key in the round. Freshness is tested on the round's sorted unique keys,
     which then merge into the table's keys without a re-sort.
     """
-    keys = _hash_keys(cand)
     perm = np.argsort(keys)  # unstable: a key's first occurrence is its least index
     keys = keys[perm]
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
@@ -292,6 +294,13 @@ def _new_rows(cand: np.ndarray, keys_sorted: np.ndarray) -> tuple[np.ndarray, np
     return np.sort(first_idx[fresh]), np.insert(keys_sorted, pos[fresh], uniq[fresh])
 
 
+def _children(quats: np.ndarray, alphabet: np.ndarray, parents: np.ndarray) -> np.ndarray:
+    """Canonical quaternions of the words alphabet[i] . parents[i]."""
+    out = quat_mul(alphabet, quats[parents])
+    _canonicalize(out)
+    return out
+
+
 def build_table(max_elements: int = DEFAULT_TABLE_SIZE) -> ApproxTable:
     """Breadth-first expansion over {H, S, T} with quaternion deduplication.
 
@@ -299,6 +308,11 @@ def build_table(max_elements: int = DEFAULT_TABLE_SIZE) -> ApproxTable:
     collisions at the 1e-10 rounding only ever drop candidate entries, which
     costs coverage, never correctness; emitted sequences are re-checked
     against their targets at query time.
+
+    A round's candidates are hashed in blocks of _BUILD_BLOCK parent rows, and
+    only its keys are kept; the new rows are then computed again, block by
+    block, straight into the table. So the build's peak is the table and one
+    round's keys, not a round's candidate quaternions.
     """
     capacity = max(max_elements, 1)
     quats = np.empty((capacity, 4))
@@ -311,12 +325,16 @@ def build_table(max_elements: int = DEFAULT_TABLE_SIZE) -> ApproxTable:
 
     size, start = 1, 0  # rows [start, size) are the frontier
     while size < max_elements and size > start:
+        # candidate gi * width + j is alphabet[gi] . row start + j
         width = size - start
-        cand = np.empty((len(_ALPHABET) * width, 4))
-        for gi, g in enumerate(_ALPHABET_QUATS):
-            cand[gi * width : (gi + 1) * width] = quat_mul(g[None, :], quats[start:size])
-        _canonicalize(cand)
-        take, keys_sorted = _new_rows(cand, keys_sorted)
+        keys = np.empty(len(_ALPHABET) * width, dtype=np.uint64)
+        for lo in range(0, width, _BUILD_BLOCK):
+            rows = np.arange(start + lo, min(start + lo + _BUILD_BLOCK, size))
+            for gi, g in enumerate(_ALPHABET_QUATS):
+                at = gi * width + lo
+                keys[at : at + len(rows)] = _hash_keys(_children(quats, g[None, :], rows))
+        take, keys_sorted = _new_rows(keys, keys_sorted)
+        del keys
         if len(take) == 0:
             break
 
@@ -326,12 +344,14 @@ def build_table(max_elements: int = DEFAULT_TABLE_SIZE) -> ApproxTable:
             capacity = end if end >= max_elements else max(end, capacity + capacity // 2)
             for arr in (quats, parents, gates, t_counts):
                 arr.resize((capacity,) + arr.shape[1:], refcheck=False)
-        np.take(cand, take, axis=0, out=quats[size:end], mode="clip")
         parents[size:end] = take % width + start
         gates[size:end] = take // width
+        for lo in range(size, end, _BUILD_BLOCK):
+            hi = min(lo + _BUILD_BLOCK, end)
+            quats[lo:hi] = _children(quats, _ALPHABET_QUATS[gates[lo:hi]], parents[lo:hi])
         t_counts[size:end] = t_counts[parents[size:end]] + (gates[size:end] == 2)
         start, size = size, end
-        del cand, take
+        del take
     return _band_sorted(quats, parents, gates, t_counts, size)
 
 

@@ -12,17 +12,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
+
+import numpy as np
 
 from .circuit import (
     AXIS_KINDS,
-    CLIFFORD_KINDS,
+    KIND_CODE,
+    KINDS,
+    MEASURE_CODE,
     RESTRICTED_KINDS,
     T_KINDS,
     Circuit,
     GateKind,
     GateOp,
-    angle_grid_index,
-    normalize_angle,
+    grid_indices,
+    normalize_angles,
 )
 from .synthesis import ApproxTable, SynthesisError, approximate_rz
 
@@ -45,63 +50,122 @@ class SynthesisMode(Enum):
 # A single-axis factor: (axis RZ/RX/RY, angle, pi/4 grid index or None).
 _Factor = tuple[GateKind, float, "int | None"]
 
-# Paulis as half-turn rotations (equal up to global phase), in gate order;
-# Y is X . Z, so Z comes first.
-_Z_FACTOR: _Factor = (GateKind.RZ, math.pi, 4)
-_X_FACTOR: _Factor = (GateKind.RX, math.pi, 4)
-_PAULI_FACTORS: dict[GateKind, tuple[_Factor, ...]] = {
-    GateKind.X: (_X_FACTOR,),
-    GateKind.Y: (_Z_FACTOR, _X_FACTOR),
-    GateKind.Z: (_Z_FACTOR,),
+_CLASSES = (GateClass.CLIFFORD, GateClass.T_EXACT, GateClass.NON_CLIFFORD_ROTATION)
+
+
+class _FactorPlan(NamedTuple):
+    """Every gate's single-axis factors, in gate order, and their T price."""
+
+    axes: np.ndarray  # (m, 3) kind code of each factor's axis, -1 for no factor
+    thetas: np.ndarray  # (m, 3) factor angles
+    grid: np.ndarray  # (m, 3) pi/4 grid index of each factor, -1 off the grid
+    exact_t: np.ndarray  # (m,) T of the odd grid factors, and 1 for T/Tdg
+    generic: np.ndarray  # (m,) factors off the grid, which need approximation
+
+    def classes(self) -> np.ndarray:
+        """Index into _CLASSES: approximation needed, else T, else Clifford."""
+        return np.where(self.generic > 0, 2, np.where(self.exact_t > 0, 1, 0))
+
+
+# Each kind's factors in gate order, as (axis, angle source). A source below 3
+# is the gate's angle column (lam, phi, gam); 3 and 4 are the constants pi and
+# pi/2, and a slot without a factor reads 5, the constant 0. Paulis are
+# half-turn rotations (equal up to global phase), and Y is X . Z, so Z comes
+# first. U3(lam, phi, gam) acts as U1(phi) . RY(lam) . U1(gam) applied right
+# to left, so the gate order is RZ(gam), RY(lam), RZ(phi); U2(lam, phi) is
+# U3(pi/2, lam, phi).
+_PI, _HALF_PI, _NONE = 3, 4, 5
+_RECIPES: dict[GateKind, tuple[tuple[GateKind, int], ...]] = {
+    GateKind.X: ((GateKind.RX, _PI),),
+    GateKind.Y: ((GateKind.RZ, _PI), (GateKind.RX, _PI)),
+    GateKind.Z: ((GateKind.RZ, _PI),),
+    GateKind.U1: ((GateKind.RZ, 0),),
+    GateKind.RZ: ((GateKind.RZ, 0),),
+    GateKind.RX: ((GateKind.RX, 0),),
+    GateKind.RY: ((GateKind.RY, 0),),
+    GateKind.U2: ((GateKind.RZ, 1), (GateKind.RY, _HALF_PI), (GateKind.RZ, 0)),
+    GateKind.U3: ((GateKind.RZ, 2), (GateKind.RY, 0), (GateKind.RZ, 1)),
 }
+_AXES = np.full((len(KINDS), 3), -1, dtype=np.int8)
+_SOURCES = np.full((len(KINDS), 3), _NONE, dtype=np.int64)
+for _kind, _recipe in _RECIPES.items():
+    for _slot, (_axis, _source) in enumerate(_recipe):
+        _AXES[KIND_CODE[_kind], _slot] = KIND_CODE[_axis]
+        _SOURCES[KIND_CODE[_kind], _slot] = _source
+_T_GATE = np.zeros(len(KINDS), dtype=np.int64)
+_T_GATE[[KIND_CODE[k] for k in T_KINDS]] = 1
+# T of a factor by its grid index 0..7; index -1 (off the grid) reads the last
+_ODD_T = np.array([0, 1, 0, 1, 0, 1, 0, 1, 0])
+_U3 = KIND_CODE[GateKind.U3]
+_RZ, _RX = KIND_CODE[GateKind.RZ], KIND_CODE[GateKind.RX]
+# Gates t_count prices per pass, which bounds its temporary arrays.
+_PRICE_BLOCK = 1 << 12
 
 
-def _factor(axis: GateKind, theta: float) -> _Factor:
-    return (axis, theta, angle_grid_index(theta))
+def _factor_plan(kinds: np.ndarray, angles: np.ndarray) -> _FactorPlan:
+    """Single-axis factors of Paulis, axis rotations and U2/U3, from columns.
 
-
-def _factors(g: GateOp) -> tuple[_Factor, ...]:
-    """Single-axis factors of a Pauli, axis rotation or U2/U3, in gate order.
-
-    U3(lam, phi, gam) acts as U1(phi) . RY(lam) . U1(gam) applied right to
-    left, so the gate order is RZ(gam), RY(lam), RZ(phi); U2(lam, phi) is
-    U3(pi/2, lam, phi). Degenerate rotation angles (lam = 0 or pi) fold the
-    two diagonal factors into one so that the class of the factor list
+    Other kinds have none. Degenerate U3 rotation angles (lam = 0 or pi) fold
+    the two diagonal factors into one so that the class of the factor list
     matches the class of the product.
     """
-    kind = g.kind
-    if kind in _PAULI_FACTORS:
-        return _PAULI_FACTORS[kind]
-    if kind in AXIS_KINDS:
-        return (_factor(GateKind.RZ if kind is GateKind.U1 else kind, g.angles[0]),)
-    if kind is GateKind.U2:
-        lam, phi = g.angles
-        theta, late, early = math.pi / 2.0, lam, phi
-    else:
-        theta, late, early = g.angles
-        half_turns = angle_grid_index(theta, step=math.pi)
-        if half_turns == 0:
-            merged = _factor(GateKind.RZ, normalize_angle(early + late))
-            return () if merged[2] == 0 else (merged,)
-        if half_turns == 1:
-            # U1(phi) RY(pi) U1(gam) = phase . X . U1(gam - phi + pi)
-            merged = _factor(GateKind.RZ, normalize_angle(early - late + math.pi))
-            return (_X_FACTOR,) if merged[2] == 0 else (merged, _X_FACTOR)
-    return (
-        _factor(GateKind.RZ, early),
-        _factor(GateKind.RY, theta),
-        _factor(GateKind.RZ, late),
+    m = len(kinds)
+    axes = _AXES[kinds]
+    sources = np.zeros((m, 6))
+    sources[:, :3] = angles
+    sources[:, 3:5] = (math.pi, math.pi / 2.0)
+    thetas = sources.reshape(-1)[_SOURCES[kinds] + 6 * np.arange(m)[:, None]]
+    u3 = (kinds == _U3).nonzero()[0]
+    if len(u3):
+        lam, phi, gam = angles[u3].T
+        half_turns = grid_indices(lam, step=math.pi)
+        # lam = 0: RZ(gam + phi); lam = pi: phase . X . RZ(gam - phi + pi)
+        for turns, merged, rest in (
+            (0, gam + phi, -1),
+            (1, gam - phi + math.pi, _RX),
+        ):
+            on = half_turns == turns
+            rows = u3[on]
+            axes[rows] = (_RZ, rest, -1)
+            thetas[rows] = (0.0, math.pi * turns, 0.0)
+            thetas[rows, 0] = normalize_angles(merged[on])
+    grid = grid_indices(thetas)
+    if len(u3):
+        folded = u3[(half_turns >= 0) & (grid[u3, 0] == 0)]
+        axes[folded, 0] = -1  # the merged diagonal factor is the identity
+    # a slot without a factor holds angle 0: grid point 0, no T
+    return _FactorPlan(
+        axes,
+        thetas,
+        grid,
+        _ODD_T[grid].sum(axis=1) + _T_GATE[kinds],
+        (grid < 0).sum(axis=1),
     )
 
 
-def _factor_class(factors: tuple[_Factor, ...]) -> GateClass:
-    # pi/2 grid -> Clifford, odd pi/4 grid -> one exact T, else approximate
-    ks = [k for _, _, k in factors]
-    if None in ks:
-        return GateClass.NON_CLIFFORD_ROTATION
-    if any(k % 2 for k in ks):
-        return GateClass.T_EXACT
-    return GateClass.CLIFFORD
+def _factor_lists(plan: _FactorPlan) -> list[tuple[_Factor, ...]]:
+    return [
+        tuple(
+            (KINDS[axis], theta, None if k < 0 else k)
+            for axis, theta, k in zip(axes, thetas, grid)
+            if axis >= 0
+        )
+        if max(axes) >= 0
+        else ()
+        for axes, thetas, grid in zip(
+            plan.axes.tolist(), plan.thetas.tolist(), plan.grid.tolist()
+        )
+    ]
+
+
+def _plan_of(g: GateOp) -> tuple[tuple[_Factor, ...], GateClass]:
+    """One gate's factors and class, by the same rule as a whole circuit's."""
+    if g.is_measure:
+        raise ValueError("measure has no gate class")
+    angles = np.zeros((1, 3))
+    angles[0, : len(g.angles)] = g.angles
+    plan = _factor_plan(np.array([KIND_CODE[g.kind]], dtype=np.uint8), angles)
+    return _factor_lists(plan)[0], _CLASSES[int(plan.classes()[0])]
 
 
 def classify_gate(g: GateOp) -> GateClass:
@@ -111,13 +175,7 @@ def classify_gate(g: GateOp) -> GateClass:
     rotations classify by their angle's position on the pi/4 grid; U2/U3
     classify by the worst of their single-axis factors.
     """
-    if g.is_measure:
-        raise ValueError("measure has no gate class")
-    if g.kind in CLIFFORD_KINDS:
-        return GateClass.CLIFFORD
-    if g.kind in T_KINDS:
-        return GateClass.T_EXACT
-    return _factor_class(_factors(g))
+    return _plan_of(g)[1]
 
 
 # RZ/U1 on the pi/4 grid, keyed by grid index; diagonal so order is free.
@@ -146,6 +204,8 @@ _U2_HADAMARD = [4, 2, 0]
 
 def _lower(
     g: GateOp,
+    factors: tuple[_Factor, ...],
+    cls: GateClass,
     epsilon: float | None,
     mode: SynthesisMode,
     count_slope: float,
@@ -153,36 +213,31 @@ def _lower(
     table: ApproxTable | None,
     out: list[GateOp] | None,
 ) -> tuple[GateClass, int, float, int]:
-    """Classify, price and (when out is a list) lower one non-measure gate.
+    """Price and (when out is a list) lower one non-measure gate.
 
-    Returns (class, T used, error bound, rotations approximated) and appends
-    the restricted-alphabet lowering to out. Grid factors lower exactly with
-    zero error; a generic factor is priced by the COUNT formula (error
-    epsilon, nothing emitted for the whole gate) or replaced by a searched
-    word (its measured distance) in SEQUENCE mode. Error bounds add up in
-    factor order. epsilon None asks for the exact path only.
+    factors and cls are the gate's row of _factor_plan. Returns (class, T
+    used, error bound, rotations approximated) and appends the
+    restricted-alphabet lowering to out. Grid factors lower exactly with zero
+    error; a generic factor is priced by the COUNT formula (error epsilon,
+    nothing emitted for the whole gate) or replaced by a searched word (its
+    measured distance) in SEQUENCE mode. Error bounds add up in factor order.
+    epsilon None asks for the exact path only.
 
     Raises:
         SynthesisError: epsilon is None and the gate needs approximation.
     """
-    if g.is_measure:
-        raise ValueError("measure has no gate class")
     kind = g.kind
     if kind in RESTRICTED_KINDS:
         if out is not None:
             out.append(g)
-        if kind in T_KINDS:
-            return GateClass.T_EXACT, 1, 0.0, 0
-        return GateClass.CLIFFORD, 0, 0.0, 0
+        return cls, int(kind in T_KINDS), 0.0, 0
     if kind is GateKind.CZ:
         if out is not None:
             ctrl, tgt = g.qubits
             h = GateOp(GateKind.H, (tgt,))
             out += [h, GateOp(GateKind.CNOT, (ctrl, tgt)), h]
-        return GateClass.CLIFFORD, 0, 0.0, 0
+        return cls, 0, 0.0, 0
 
-    factors = _factors(g)
-    cls = _factor_class(factors)
     if cls is GateClass.NON_CLIFFORD_ROTATION:
         if epsilon is None:
             raise SynthesisError(
@@ -227,8 +282,8 @@ def synthesize_exact(g: GateOp) -> list[GateOp]:
     """
     out: list[GateOp] = []
     _lower(
-        g, None, SynthesisMode.SEQUENCE, DEFAULT_COUNT_SLOPE, DEFAULT_COUNT_OFFSET,
-        None, out,
+        g, *_plan_of(g), None, SynthesisMode.SEQUENCE, DEFAULT_COUNT_SLOPE,
+        DEFAULT_COUNT_OFFSET, None, out,
     )
     return out
 
@@ -264,7 +319,9 @@ def synthesize_approx(
     if g.kind not in AXIS_KINDS:
         raise SynthesisError(f"expected a single-axis rotation, got {g.kind.value}")
     seq: list[GateOp] = []
-    _, t_used, err, _ = _lower(g, epsilon, mode, count_slope, count_offset, table, seq)
+    _, t_used, err, _ = _lower(
+        g, *_plan_of(g), epsilon, mode, count_slope, count_offset, table, seq
+    )
     return seq, t_used, err
 
 
@@ -300,17 +357,20 @@ def transpile(
     table: ApproxTable | None = None,
 ) -> TranspiledCircuit:
     """Lower every gate in layer-major order, preserving gate order."""
+    plan = _factor_plan(circuit.columns.kinds, circuit.columns.angles)
+    classes = [_CLASSES[c] for c in plan.classes().tolist()]
     emitted: list[GateOp] = []
     spans: list[tuple[int, int]] = []
     total_err = 0.0
     n_approx = 0
-    for g in circuit.gates():
+    for g, factors, cls in zip(circuit.gates(), _factor_lists(plan), classes):
         start = len(emitted)
         if g.is_measure:
             emitted.append(g)
         else:
             _, _, err, k = _lower(
-                g, epsilon, mode, count_slope, count_offset, table, emitted
+                g, factors, cls, epsilon, mode, count_slope, count_offset, table,
+                emitted,
             )
             total_err += err
             n_approx += k
@@ -360,29 +420,37 @@ def t_count(
     count_slope: float = DEFAULT_COUNT_SLOPE,
     count_offset: int = DEFAULT_COUNT_OFFSET,
 ) -> TCountReport:
-    """Count T-gates under the full and symmetry-breaking policies."""
+    """Count T-gates under the full and symmetry-breaking policies.
+
+    Prices the gates from the circuit's columns, _PRICE_BLOCK rows per array
+    pass, and sums the prices per layer; no GateOp is built.
+    """
+    cols = circuit.columns
+    exact_t = np.empty(len(cols.kinds), dtype=np.int64)
+    generic = np.empty(len(cols.kinds), dtype=np.int64)
+    for lo in range(0, len(cols.kinds), _PRICE_BLOCK):
+        rows = slice(lo, lo + _PRICE_BLOCK)
+        plan = _factor_plan(cols.kinds[rows], cols.angles[rows])
+        exact_t[rows], generic[rows] = plan.exact_t, plan.generic
+    hot = exact_t + generic > 0
+    clifford_count = int(np.count_nonzero(~hot & (cols.kinds != MEASURE_CODE)))
+    # the price of a generic factor; the epsilon check only runs when one is priced
+    cost = 0
+    if generic.any():
+        cost = count_mode_t_cost(epsilon, count_slope, count_offset)
     tallies: list[LayerTally] = []
-    t_full = 0
-    t_sym = 0
-    clifford_count = 0
-    prev_hot = False
-    for li, layer in enumerate(circuit.layers):
-        layer_t = 0
-        hot = False
-        for g in layer:
-            if g.is_measure:
-                continue
-            cls, t_used, _, _ = _lower(
-                g, epsilon, SynthesisMode.COUNT, count_slope, count_offset, None, None
+    starts = cols.offsets[:-1]
+    if len(starts):
+        layer_hot = np.logical_or.reduceat(hot, starts)
+        charges = layer_hot & ~np.concatenate(([False], layer_hot[:-1]))
+        for li, (layer_exact, layer_generic, charge) in enumerate(
+            zip(
+                np.add.reduceat(exact_t, starts).tolist(),
+                np.add.reduceat(generic, starts).tolist(),
+                charges.astype(int).tolist(),
             )
-            if cls is GateClass.CLIFFORD:
-                clifford_count += 1
-                continue
-            hot = True
-            layer_t += t_used
-        charge = 1 if hot and not prev_hot else 0
-        t_sym += charge
-        t_full += layer_t
-        tallies.append(LayerTally(li, layer_t, charge))
-        prev_hot = hot
+        ):
+            tallies.append(LayerTally(li, layer_exact + layer_generic * cost, charge))
+    t_full = sum(row.t_full for row in tallies)
+    t_sym = sum(row.t_sym for row in tallies)
     return TCountReport(t_full, t_sym, epsilon, clifford_count, tuple(tallies))

@@ -12,20 +12,46 @@ outcomes, never the sign forms the engine is checked on.
 ``matrix_product_apply``, ``reference_statevector`` and ``reference_unitary``
 are the per-gate tensordot oracle that ``dense`` replaced with in-place
 Clifford kernels and a fused pass: one matrix product per gate, nothing fused.
+
+``reference_parse_circuit`` and ``reference_t_count`` are the per-line parser
+and the per-gate T-count loop that the columnar parser and the array pricing
+replaced: one ``GateOp`` per line, layered by ``Circuit.from_gates``, and one
+scalar factor decomposition per gate.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from qtriage.circuit import Circuit, GateKind, GateOp, gate
+from qtriage.circuit import (
+    ANGLE_TOL,
+    AXIS_KINDS,
+    RESTRICTED_KINDS,
+    T_KINDS,
+    TWO_PI,
+    Circuit,
+    GateKind,
+    GateOp,
+    ParseError,
+    gate,
+    normalize_angle,
+)
 from qtriage.dense import apply_gate, gate_matrix
 from qtriage.synthesis import ApproxTable, default_table
 from qtriage.tableau import Tableau, apply_clifford, measure_with_source
+from qtriage.transpiler import (
+    DEFAULT_COUNT_OFFSET,
+    DEFAULT_COUNT_SLOPE,
+    LayerTally,
+    TCountReport,
+    count_mode_t_cost,
+)
 
 
 @pytest.fixture(scope="session")
@@ -221,3 +247,223 @@ def random_mixed_circuit(rng: random.Random, n: int, m: int) -> Circuit:
         else:
             ops.append(gate("u3", rng.randrange(n), angles=(angle(), angle(), angle())))
     return Circuit.from_gates(n, ops)
+
+
+_KIND_BY_TOKEN = {k.value: k for k in GateKind}
+_GATE_RE = re.compile(
+    r"^(?P<kind>[a-z][a-z0-9]*)"
+    r"(?:\((?P<angles>[^)]*)\))?"
+    r"(?P<rest>(?:\s+\S+)*)\s*$"
+)
+
+
+def reference_parse_circuit(text: str) -> Circuit:
+    """The per-line parser: one GateOp per gate line, then greedy layering.
+
+    It reads a header count or qubit index with ``str.isdigit``, so non-ASCII
+    digits get through to ``int`` (which fails on superscripts and reads
+    Arabic-Indic digits as numbers).
+    """
+    n_qubits: int | None = None
+    metadata: str | None = None
+    gates_out: list[GateOp] = []
+    barriers: set[int] = set()
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if not line.strip():
+            continue
+        stripped = line.strip()
+        col0 = line.index(stripped[0]) + 1
+
+        head = stripped.split(None, 1)[0]
+        if head == "qubits":
+            if n_qubits is not None:
+                raise ParseError(lineno, col0, "duplicate qubits header")
+            if gates_out:
+                raise ParseError(lineno, col0, "qubits header must come first")
+            parts = stripped.split()
+            if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+                raise ParseError(lineno, col0, "expected `qubits <positive int>`")
+            n_qubits = int(parts[1])
+            continue
+        if n_qubits is None:
+            raise ParseError(lineno, col0, "missing `qubits <n>` header")
+        if head == "layer":
+            if stripped != "layer":
+                raise ParseError(lineno, col0, "`layer` takes no arguments")
+            barriers.add(len(gates_out))
+            continue
+        if head == "name":
+            metadata = stripped.split(None, 1)[1] if " " in stripped else ""
+            continue
+
+        m = _GATE_RE.match(stripped)
+        if m is None:
+            raise ParseError(lineno, col0, f"cannot parse gate line: {stripped!r}")
+        kind_tok = m.group("kind")
+        kind = _KIND_BY_TOKEN.get(kind_tok)
+        if kind is None:
+            raise ParseError(lineno, col0, f"unknown gate kind {kind_tok!r}")
+
+        angles: tuple[float, ...] = ()
+        if m.group("angles") is not None:
+            acol = col0 + len(kind_tok)
+            toks = [t.strip() for t in m.group("angles").split(",")]
+            if toks == [""]:
+                toks = []
+            try:
+                angles = tuple(float(t) for t in toks)
+            except ValueError:
+                raise ParseError(lineno, acol, f"bad angle list {m.group('angles')!r}")
+
+        rest = m.group("rest").split()
+        qcol = col0 + len(stripped) - len(m.group("rest").lstrip() or "")
+        qubits: list[int] = []
+        for tok in rest:
+            if not tok.isdigit():
+                raise ParseError(lineno, qcol, f"bad qubit index {tok!r}")
+            qubits.append(int(tok))
+
+        try:
+            g = GateOp(kind, tuple(qubits), angles)
+        except ValueError as exc:
+            raise ParseError(lineno, col0, str(exc))
+        for q in qubits:
+            if q >= n_qubits:
+                raise ParseError(
+                    lineno, qcol, f"qubit {q} out of range (n_qubits={n_qubits})"
+                )
+        gates_out.append(g)
+
+    if n_qubits is None:
+        raise ParseError(1, 1, "missing `qubits <n>` header")
+    return Circuit.from_gates(
+        n_qubits, gates_out, barriers=barriers, metadata=metadata
+    )
+
+
+def _reference_grid(theta: float, step: float = math.pi / 4.0) -> int | None:
+    k = round(theta / step)
+    if abs(theta - k * step) <= ANGLE_TOL:
+        return k % round(TWO_PI / step)
+    return None
+
+
+def _reference_factors(g: GateOp) -> list[tuple[GateKind, float, int | None]]:
+    """Single-axis factors of one gate, as the per-gate pricing split it."""
+    z, x = (GateKind.RZ, math.pi, 4), (GateKind.RX, math.pi, 4)
+    paulis = {GateKind.X: [x], GateKind.Y: [z, x], GateKind.Z: [z]}
+
+    def factor(axis: GateKind, theta: float) -> tuple[GateKind, float, int | None]:
+        return (axis, theta, _reference_grid(theta))
+
+    if g.kind in paulis:
+        return paulis[g.kind]
+    if g.kind in AXIS_KINDS:
+        return [factor(GateKind.RZ if g.kind is GateKind.U1 else g.kind, g.angles[0])]
+    if g.kind is GateKind.U2:
+        lam, phi = g.angles
+        theta, late, early = math.pi / 2.0, lam, phi
+    else:
+        theta, late, early = g.angles
+        half_turns = _reference_grid(theta, step=math.pi)
+        if half_turns == 0:
+            merged = factor(GateKind.RZ, normalize_angle(early + late))
+            return [] if merged[2] == 0 else [merged]
+        if half_turns == 1:
+            merged = factor(GateKind.RZ, normalize_angle(early - late + math.pi))
+            return [x] if merged[2] == 0 else [merged, x]
+    return [
+        factor(GateKind.RZ, early),
+        factor(GateKind.RY, theta),
+        factor(GateKind.RZ, late),
+    ]
+
+
+def reference_gate_price(g: GateOp, epsilon: float, slope: float, offset: int) -> tuple[bool, int]:
+    """(Clifford?, COUNT-mode T price) of one non-measure gate."""
+    if g.kind in RESTRICTED_KINDS or g.kind is GateKind.CZ:
+        return g.kind not in T_KINDS, int(g.kind in T_KINDS)
+    ks = [k for _, _, k in _reference_factors(g)]
+    if None not in ks and not any(k % 2 for k in ks):
+        return True, 0
+    return False, sum(
+        count_mode_t_cost(epsilon, slope, offset) if k is None else k % 2 for k in ks
+    )
+
+
+def reference_t_count(
+    circuit: Circuit,
+    epsilon: float,
+    count_slope: float = DEFAULT_COUNT_SLOPE,
+    count_offset: int = DEFAULT_COUNT_OFFSET,
+) -> TCountReport:
+    """The per-gate T-count loop over the circuit's GateOp layers."""
+    tallies: list[LayerTally] = []
+    t_full = t_sym = clifford_count = 0
+    prev_hot = False
+    for li, layer in enumerate(circuit.layers):
+        layer_t, hot = 0, False
+        for g in layer:
+            if g.is_measure:
+                continue
+            clifford, t_used = reference_gate_price(g, epsilon, count_slope, count_offset)
+            if clifford:
+                clifford_count += 1
+                continue
+            hot = True
+            layer_t += t_used
+        charge = 1 if hot and not prev_hot else 0
+        t_sym += charge
+        t_full += layer_t
+        tallies.append(LayerTally(li, layer_t, charge))
+        prev_hot = hot
+    return TCountReport(t_full, t_sym, epsilon, clifford_count, tuple(tallies))
+
+
+# --- circuit texts for the parser fuzz tests -------------------------------
+
+_SPACES = st.sampled_from([" ", "  ", "\t", " ", "\x1f"])
+_QUBIT_TOKENS = st.sampled_from(
+    ["0", "1", "2", "3", "07", "12", "99999999999999999999999", "-1", "q0", "0,1", "(", "²", "٣"]
+)
+_ANGLE_TOKENS = st.sampled_from(
+    ["0.5", " 1.25 ", "-3.75", "1e3", "6.283185307179586", "nan", "inf", "-inf", "a", "", " ", "1_0", "\x1f1.5"]
+)
+_KIND_TOKENS = st.sampled_from(
+    ["h", "cnot", "cz", "u1", "u2", "u3", "rx", "ry", "rz", "t", "tdg", "x", "y", "measure",
+     "frob", "H", "h0", "qubits", "layer", "name", "1h", "é"]
+)
+
+
+@st.composite
+def _gate_lines(draw) -> str:
+    line = draw(_KIND_TOKENS)
+    if draw(st.booleans()):
+        angles = draw(st.lists(_ANGLE_TOKENS, max_size=4))
+        line += "(" + draw(st.sampled_from([",", ", "])).join(angles) + draw(st.sampled_from([")", "", ")x"]))
+    for tok in draw(st.lists(_QUBIT_TOKENS, max_size=3)):
+        line += draw(_SPACES) + tok
+    return line
+
+
+_OTHER_LINES = st.sampled_from(
+    ["qubits 1", "qubits 2", "qubits 4", "qubits 99999999999999999999999999", "qubits 0", "qubits x",
+     "qubits 2 3", "qubits", "qubits(2)", "qubits ²", "layer", "layer now", "layer(1)", "name",
+     "name foo bar", "name\tfoo", "name\tfoo bar", "# comment", "", "   "]
+)
+
+
+@st.composite
+def circuit_texts(draw) -> str:
+    """Circuit texts mixing valid and broken lines, comments, odd spacing and
+    line ends, huge counts and indices, and non-ASCII digits."""
+    lines = [draw(st.sampled_from(["qubits 4", "qubits 99999999999999999999999999", ""]))]
+    for _ in range(draw(st.integers(0, 12))):
+        line = draw(st.one_of(_gate_lines(), _OTHER_LINES))
+        line = draw(st.sampled_from(["", " ", "\t"])) + line
+        line += draw(st.sampled_from(["", " ", "\t", "# c", "  #x"]))
+        lines.append(line)
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r", "\n\n"])) for _ in lines]
+    return "".join(a + b for a, b in zip(lines, ends))[: None if draw(st.booleans()) else -1]

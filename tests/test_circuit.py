@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import math
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from qtriage import circuit as circuit_module
 from qtriage.circuit import (
+    KIND_CODE,
     Circuit,
     GateKind,
     GateOp,
@@ -21,7 +25,7 @@ from qtriage.circuit import (
     render_circuit,
 )
 
-from conftest import random_mixed_circuit
+from conftest import circuit_texts, random_mixed_circuit, reference_parse_circuit
 
 
 def test_parse_basic() -> None:
@@ -193,3 +197,71 @@ def test_greedy_layers_are_disjoint(seed: int) -> None:
             used.extend(g.qubits)
         assert len(used) == len(set(used))
     assert list(Circuit.from_gates(c.n_qubits, c.gates()).gates()) == list(c.gates())
+
+
+# --- the columnar parser against the per-line reference -----------------------
+
+
+def _has_non_ascii_digit(text: str) -> bool:
+    return any(ch.isdigit() and not ch.isascii() for ch in text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(circuit_texts(), st.sampled_from([circuit_module._PARSE_BLOCK, 1, 3]))
+def test_parser_matches_the_per_line_reference(text: str, block: int) -> None:
+    # small blocks put the header, errors and layers on block boundaries
+    with mock.patch.object(circuit_module, "_PARSE_BLOCK", block):
+        _assert_parser_matches_the_reference(text)
+
+
+def _assert_parser_matches_the_reference(text: str) -> None:
+    try:
+        want = reference_parse_circuit(text)
+    except ParseError as err:
+        if _has_non_ascii_digit(text):
+            with pytest.raises(ParseError):
+                parse_circuit(text)
+            return
+        with pytest.raises(ParseError) as got:
+            parse_circuit(text)
+        assert (got.value.line, got.value.col, got.value.message) == (err.line, err.col, err.message)
+        return
+    except ValueError:
+        # the reference's int() fails on a non-ASCII digit that isdigit passed
+        assert _has_non_ascii_digit(text)
+        with pytest.raises(ParseError):
+            parse_circuit(text)
+        return
+    if _has_non_ascii_digit(text):
+        # the reference reads Arabic-Indic digits as numbers; these are errors now
+        try:
+            parse_circuit(text)
+        except ParseError:
+            return
+    got = parse_circuit(text)
+    assert got == want
+    assert got.layers == want.layers
+    assert (got.metadata, got.depth, got.gate_count) == (want.metadata, want.depth, want.gate_count)
+
+
+def test_parser_keeps_qubit_indices_past_int64() -> None:
+    text = "qubits 99999999999999999999999\nh 99999999999999999999998\ncnot 0 99999999999999999999998\n"
+    c = parse_circuit(text)
+    assert c == reference_parse_circuit(text)
+    assert [g.qubits for g in c.gates()] == [(99999999999999999999998,), (0, 99999999999999999999998)]
+    assert c.depth == 2
+
+
+def test_parsed_circuit_builds_gates_on_demand() -> None:
+    c = parse_circuit("qubits 3\nname tag\nu3(1,2,3) 0\ncnot 1 2\nlayer\nh 0\nmeasure 2\n")
+    cols = c.columns
+    assert cols.kinds.tolist() == [KIND_CODE[k] for k in (GateKind.U3, GateKind.CNOT, GateKind.H, GateKind.MEASURE)]
+    assert cols.qubits.tolist() == [[0, -1], [1, 2], [0, -1], [2, -1]]
+    assert cols.offsets.tolist() == [0, 2, 4]
+    assert (c.gate_count, c.depth) == (3, 2)
+    rebuilt = Circuit(3, c.layers, "tag")
+    assert rebuilt == c and hash(rebuilt) == hash(c)
+    assert rebuilt.columns.kinds.tolist() == cols.kinds.tolist()
+    assert np.array_equal(rebuilt.columns.angles, cols.angles)
+    with pytest.raises(AttributeError):
+        c.n_qubits = 4

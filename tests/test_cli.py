@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
 
 from qtriage import cli
 from qtriage.circuit import parse_circuit
 from qtriage.encoding import AnglePerFeature, compare_modalities, parse_tensor_spec
+
+from conftest import circuit_texts
 
 
 def _run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -314,6 +320,21 @@ def test_parse_error_diagnostics(capsys, tmp_path) -> None:
     assert err.startswith("error: line 2, col 1:")
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        # superscript two and Arabic-Indic three pass str.isdigit; neither is
+        # a count or a qubit index
+        ("qubits \u00b2\n", "line 1, col 1: expected `qubits <positive int>`"),
+        ("qubits 2\nh \u00b2\n", "line 2, col 3: bad qubit index '\u00b2'"),
+        ("qubits 5\nh \u0663\n", "line 2, col 3: bad qubit index '\u0663'"),
+    ],
+)
+def test_non_ascii_digits_are_parse_errors(capsys, tmp_path, text, error) -> None:
+    code, out, err = _run(capsys, "count", _circuit_file(tmp_path, text))
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
 @pytest.mark.parametrize("angle_line", ["rz(nan) 0", "rz(inf) 0", "u3(0,-inf,0) 0"])
 @pytest.mark.parametrize("command", ["count", "advise", "simulate"])
 def test_non_finite_angle_names_its_position(capsys, tmp_path, command, angle_line) -> None:
@@ -412,3 +433,17 @@ def test_bench_suites_emit_timing_rows(capsys, monkeypatch) -> None:
     lines = out.splitlines()
     assert lines[0] == "t branches seconds"
     assert [line.split()[:2] for line in lines[1:]] == [["2", "4"], ["3", "8"]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuit_texts())
+def test_any_circuit_text_exits_with_a_documented_code(text: str) -> None:
+    for argv in (
+        ["count", "-"],
+        ["advise", "-", "--policy", "full"],
+        ["advise", "-", "--policy", "symmetry", "--format", "machine"],
+        ["transpile", "-", "--mode", "count"],
+    ):
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(io.StringIO()):
+            assert cli.main(argv) in (0, 2, 10, 11)

@@ -220,6 +220,31 @@ def test_band_query_widens_to_a_full_scan_on_a_small_table(monkeypatch) -> None:
     assert len(table) in scans
 
 
+# sha256 of every array of build_table(50_000), taken before the build
+# streamed its rounds in blocks
+_TABLE_50K_DIGESTS = {
+    "quats": "96024ca8a91f72e1f35d10ab55e49977eded5c465a52bc57bbbd4224e8ea555f",
+    "parents": "649a8be67de78cde46ce00cfc0beb3cfaabf8c8af57b1a8e15fdc8cbf604881e",
+    "gates": "6e49a1dc4ca7ed9fc929ee59d1d6748fd0fe18397583171a71a346c17b1460e4",
+    "t_counts": "0cac381415794e898458de0c9fd38a239f60ebbc3e0823d085f4047568c8a111",
+    "bfs_index": "f0d2e54a1fe5aa7054fa2c91ecc92e9a7adb51902c7146ba67c092158770b2c3",
+    "band_key": "d5705ec11d19d749fd9a432ee6998c8070fad7cdfbfca8149cec656cf7c99b8f",
+}
+
+
+@pytest.mark.parametrize("block", [synthesis._BUILD_BLOCK, 1_000, 7])
+def test_streamed_build_matches_the_recorded_table(block: int, monkeypatch) -> None:
+    # small blocks split every round, and the rows it keeps, across many blocks
+    monkeypatch.setattr(synthesis, "_BUILD_BLOCK", block)
+    table = build_table(50_000)
+    assert len(table) == 66_956
+    digests = {
+        name: hashlib.sha256(getattr(table, name).tobytes()).hexdigest()
+        for name in _TABLE_50K_DIGESTS
+    }
+    assert digests == _TABLE_50K_DIGESTS
+
+
 def test_table_growth_is_monotone() -> None:
     small, larger = build_table(2_000), build_table(20_000)
     assert len(larger) > len(small)

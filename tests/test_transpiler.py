@@ -11,12 +11,22 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtriage.ansatz import AnsatzKind, build_ansatz, param_count
-from qtriage import transpiler
-from qtriage.circuit import ANGLE_TOL, Circuit, GateKind, GateOp, gate, parse_circuit
+from qtriage import circuit as circuit_module, transpiler
+from qtriage.circuit import (
+    ANGLE_TOL,
+    KIND_CODE,
+    Circuit,
+    GateKind,
+    GateOp,
+    gate,
+    parse_circuit,
+    render_circuit,
+)
 from qtriage.dense import gate_matrix, phase_insensitive_fidelity, su2_distance, unitary_of
 from qtriage.synthesis import ApproxTable, SynthesisError
 from qtriage.transpiler import (
@@ -33,7 +43,7 @@ from qtriage.transpiler import (
     transpile,
 )
 
-from conftest import random_mixed_circuit
+from conftest import random_mixed_circuit, reference_t_count
 
 PI = math.pi
 GRID = [k * PI / 4.0 for k in range(8)]
@@ -399,24 +409,89 @@ def test_exact_path_agrees_with_class_and_count_on_grid_edges() -> None:
 
 def test_t_count_decomposes_each_composite_once(monkeypatch) -> None:
     rng = random.Random(5)
-    c = random_mixed_circuit(rng, 4, 300)
-    composites = [g for g in c.gates() if g.kind in (GateKind.U2, GateKind.U3)]
-    assert len(composites) > 30
-    seen: list[GateOp] = []
-    built: list[GateOp] = []
-    factors, post_init = transpiler._factors, GateOp.__post_init__
+    c = parse_circuit(render_circuit(random_mixed_circuit(rng, 4, 300)))
+    kinds = c.columns.kinds.copy()
+    composites = np.isin(kinds, [KIND_CODE[GateKind.U2], KIND_CODE[GateKind.U3]])
+    assert np.count_nonzero(composites) > 30
+    passes: list[np.ndarray] = []
+    built: list[object] = []
+    plan, post_init, layers_of = transpiler._factor_plan, GateOp.__post_init__, circuit_module._layers_of_columns
 
-    def counting_factors(g: GateOp):
-        if g.kind in (GateKind.U2, GateKind.U3):
-            seen.append(g)
-        return factors(g)
+    def counting_plan(kinds: np.ndarray, angles: np.ndarray):
+        passes.append(kinds.copy())
+        return plan(kinds, angles)
 
     def counting_post_init(self: GateOp) -> None:
         built.append(self)
         post_init(self)
 
-    monkeypatch.setattr(transpiler, "_factors", counting_factors)
+    def counting_layers(cols):
+        built.append(cols)
+        return layers_of(cols)
+
+    monkeypatch.setattr(transpiler, "_factor_plan", counting_plan)
     monkeypatch.setattr(GateOp, "__post_init__", counting_post_init)
+    monkeypatch.setattr(circuit_module, "_layers_of_columns", counting_layers)
     t_count(c, 1e-2)
-    assert Counter(map(id, seen)) == Counter(map(id, composites))
-    assert built == []  # COUNT pricing emits no gates
+    # the array passes decompose every gate, each composite once
+    assert np.array_equal(np.concatenate(passes), kinds)
+    assert built == []  # COUNT pricing builds no GateOp, not even the layers
+    assert len(c.layers) == c.depth and built  # the layers come on demand
+
+
+def _edge_angle(rng: random.Random) -> float:
+    """On the pi/4 grid, within ANGLE_TOL of it, 3 ANGLE_TOL off it, or generic."""
+    k = rng.randrange(-8, 17) * PI / 4.0
+    return rng.choice(
+        (k, k + 0.5 * ANGLE_TOL, k - 0.9 * ANGLE_TOL, k + 3 * ANGLE_TOL, k - 3 * ANGLE_TOL, rng.uniform(-7.0, 13.0))
+    )
+
+
+def _edge_circuit(rng: random.Random) -> Circuit:
+    n = rng.randint(1, 5)
+    ops: list[GateOp] = []
+    for _ in range(rng.randint(0, 40)):
+        kind = rng.choice(list(GateKind))
+        if kind in (GateKind.CNOT, GateKind.CZ):
+            if n < 2:
+                continue
+            ops.append(gate(kind, *rng.sample(range(n), 2)))
+            continue
+        q = rng.randrange(n)
+        if kind is GateKind.U3 and rng.random() < 0.4:
+            # theta on the pi grid folds the two diagonal factors
+            theta = rng.randrange(-2, 5) * PI + rng.choice((0.0, 0.5 * ANGLE_TOL, 3 * ANGLE_TOL))
+            ops.append(gate(kind, q, angles=(theta, _edge_angle(rng), _edge_angle(rng))))
+        elif kind is GateKind.U2 and rng.random() < 0.3:
+            ops.append(gate(kind, q, angles=(0.0, PI)))  # the Hadamard
+        else:
+            arity = {GateKind.U1: 1, GateKind.RX: 1, GateKind.RY: 1, GateKind.RZ: 1, GateKind.U2: 2, GateKind.U3: 3}
+            ops.append(gate(kind, q, angles=[_edge_angle(rng) for _ in range(arity.get(kind, 0))]))
+    barriers = rng.sample(range(len(ops) + 1), min(3, len(ops) + 1))
+    return Circuit.from_gates(n, ops, barriers=barriers)
+
+
+@pytest.mark.parametrize("block", [transpiler._PRICE_BLOCK, 7])
+def test_t_count_matches_the_per_gate_reference_on_seeded_circuits(block: int, monkeypatch) -> None:
+    # a small block prices every circuit over several passes
+    monkeypatch.setattr(transpiler, "_PRICE_BLOCK", block)
+    kinds_seen: set[GateKind] = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        c = _edge_circuit(rng)
+        kinds_seen |= {g.kind for g in c.gates()}
+        epsilon = rng.choice((1e-1, 1e-2, 1e-3))
+        slope, offset = rng.choice(((3.0, 4), (1.5, 0), (7.25, 11)))
+        want = reference_t_count(c, epsilon, slope, offset)
+        assert t_count(c, epsilon, count_slope=slope, count_offset=offset) == want, seed
+        # the same circuit parsed from text prices from its parsed columns
+        parsed = parse_circuit(render_circuit(c))
+        assert t_count(parsed, epsilon, count_slope=slope, count_offset=offset) == want, seed
+    assert kinds_seen == set(GateKind)
+
+
+def test_t_count_without_generic_rotations_never_reads_epsilon() -> None:
+    c = Circuit.from_gates(2, [gate("t", 0), gate("cnot", 0, 1), gate("rz", 1, angles=[PI / 4.0])])
+    assert t_count(c, 0.0).t_full == reference_t_count(c, 0.0).t_full == 2
+    with pytest.raises(ValueError):
+        t_count(Circuit.from_gates(1, [gate("rz", 0, angles=[0.3])]), 0.0)
