@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .circuit import Circuit
@@ -254,7 +254,8 @@ def render_report(report: DispatchReport, format: str = "text") -> bytes:
     if format == "text":
         return ("\n".join(_text_lines(report)) + "\n").encode("utf-8")
     if format == "machine":
-        return (json.dumps(asdict(to_machine(report))) + "\n").encode("utf-8")
+        # the schema is flat: its __dict__ is the document, in field order
+        return (json.dumps(vars(to_machine(report))) + "\n").encode("utf-8")
     raise ValueError(f"unknown format {format!r}")
 
 

@@ -8,6 +8,7 @@ UTF-8; `--format machine` selects one JSON document on stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -69,8 +70,11 @@ def _read_circuit(path: str) -> Circuit:
     return parse_circuit(Path(path).read_text(encoding="utf-8"))
 
 
+_CONFIG_FIELDS = tuple(f.name for f in fields(Config))
+
+
 def _config(args: argparse.Namespace) -> Config:
-    overrides = {f.name: getattr(args, f.name, None) for f in fields(Config)}
+    overrides = {name: getattr(args, name, None) for name in _CONFIG_FIELDS}
     return load_config(getattr(args, "config", None)).override(**overrides)
 
 
@@ -163,14 +167,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _t_value(text: str) -> int:
     """A T-count argument: a whole number >= 0, also in float form (1e8)."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"T value {text!r} is not finite")
-    if value != int(value):
-        raise ValueError(f"T value {text!r} is not a whole number")
+    try:
+        value = int(text)  # exact past 2**53, where a float rounds
+    except ValueError:
+        number = float(text)
+        if not math.isfinite(number):
+            raise ValueError(f"T value {text!r} is not finite")
+        if number != int(number):
+            raise ValueError(f"T value {text!r} is not a whole number")
+        value = int(number)
     if value < 0:
         raise ValueError(f"T value {text!r} is negative")
-    return int(value)
+    return value
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -341,6 +349,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # built on the first main() call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qtriage",

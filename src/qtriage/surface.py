@@ -10,6 +10,7 @@ All functions are pure; scanning over t values parallelizes trivially.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from importlib import resources
@@ -153,26 +154,24 @@ def parse_calibration(text: str) -> CalibrationModel:
 
 
 def load_calibration(path: str | Path | None = None) -> CalibrationModel:
-    """Load a calibration file, or the packaged default when path is None."""
+    """Load a calibration file, or the packaged default when path is None.
+
+    A file at path is read on every call; the packaged default is the one
+    shared `default_calibration()` model.
+    """
     if path is None:
-        text = (
-            resources.files("qtriage.calibration")
-            .joinpath(DEFAULT_CALIBRATION_RESOURCE)
-            .read_text(encoding="utf-8")
-        )
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    return parse_calibration(text)
+        return default_calibration()
+    return parse_calibration(Path(path).read_text(encoding="utf-8"))
 
 
-_DEFAULT_MODEL: CalibrationModel | None = None
-
-
+@functools.cache
 def default_calibration() -> CalibrationModel:
-    global _DEFAULT_MODEL
-    if _DEFAULT_MODEL is None:
-        _DEFAULT_MODEL = load_calibration(None)
-    return _DEFAULT_MODEL
+    """The packaged model, parsed once per process; frozen, so safe to share."""
+    return parse_calibration(
+        resources.files("qtriage.calibration")
+        .joinpath(DEFAULT_CALIBRATION_RESOURCE)
+        .read_text(encoding="utf-8")
+    )
 
 
 def _matching_anchors(

@@ -26,8 +26,8 @@ def _run(capsys, *argv: str) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
-def _circuit_file(tmp_path, text: str) -> str:
-    f = tmp_path / "c.qc"
+def _circuit_file(tmp_path, text: str, name: str = "c.qc") -> str:
+    f = tmp_path / name
     f.write_text(text, encoding="utf-8")
     return str(f)
 
@@ -215,6 +215,12 @@ def test_estimate_rejects_non_finite_t(capsys, value) -> None:
     code, out, err = _run(capsys, "estimate", "-q", "5", "-t", "3", value)
     assert code == 2 and out == ""
     assert err == f"error: T value {value!r} is not finite\n"
+
+
+def test_estimate_keeps_t_exact_past_float_precision(capsys) -> None:
+    code, out, _ = _run(capsys, "estimate", "-q", "10", "-t", "9007199254740993", "--format", "machine")
+    assert code == 0
+    assert json.loads(out)[0]["t"] == 2**53 + 1
 
 
 @pytest.mark.parametrize("value, why", [("3.7", "is not a whole number"), ("-3", "is negative")])
@@ -418,6 +424,49 @@ def test_config_from_environment(capsys, tmp_path, monkeypatch) -> None:
     monkeypatch.delenv("QTRIAGE_CONFIG")
     _, via_flag, _ = _run(capsys, "ansatz", "real-amplitudes", "-n", "3", "--seed", "9")
     assert via_env == via_flag
+
+
+def test_cached_parser_matches_a_fresh_one(capsys, tmp_path, monkeypatch) -> None:
+    # untimed bench rows are comparable between the two runs
+    monkeypatch.setattr(cli, "_best_of", lambda fn, repeats=3: 0.0)
+    bell = _circuit_file(tmp_path, BELL)
+    rz = _circuit_file(tmp_path, "qubits 1\nrz(0.85) 0\n", "rz.qc")
+    frob = _circuit_file(tmp_path, "qubits 2\nfrob 0\n", "frob.qc")
+    calls = [
+        ["ansatz", "real-amplitudes", "-n", "3", "--seed", "4"],
+        ["advise"],
+        ["transpile", rz, "--format", "machine"],
+        ["estimate", "--help"],
+        ["count", rz, "--epsilon", "1e-3"],
+        ["advise", "--t-override", "40"],
+        ["simulate", bell, "--shots", "64", "--format", "machine"],
+        ["ansatz", "--help"],
+        ["estimate", "-q", "5", "-t", "3", "1e8"],
+        ["count", frob],
+        ["encode", "4x4x3:multispectral", "--format", "machine"],
+        ["transpile", "--help"],
+        ["advise", bell, "--policy", "symmetry", "--format", "machine"],
+        ["count", "/nonexistent/c.qc"],
+        ["bench", "clifford", "--seed", "2"],
+        ["bench", "extended"],
+        ["simulate", "--help"],
+        ["advise", "--t-override", "400", "--logical-qubits", "5", "--t-threshold", "10"],
+        ["count", "--help"],
+        ["transpile", rz, "--mode", "count"],
+        ["encode", "--help"],
+        ["advise", rz, "--policy", "full"],
+        ["bench", "--help"],
+        ["advise", "--help"],
+        ["--help"],
+        [],
+        ["ansatz", "qaoa", "-n", "3"],
+    ]
+    fresh = cli._build_parser.__wrapped__
+    assert cli._build_parser() is cli._build_parser()
+    for argv in calls + calls[::-1]:
+        cached = _run(capsys, *argv)
+        with mock.patch.object(cli, "_build_parser", fresh):
+            assert _run(capsys, *argv) == cached, argv
 
 
 def test_bench_suites_emit_timing_rows(capsys, monkeypatch) -> None:

@@ -256,6 +256,19 @@ def test_parse_calibration_errors() -> None:
         parse_calibration(bad)
 
 
+def test_packaged_calibration_is_parsed_once() -> None:
+    assert load_calibration() is load_calibration()
+    assert load_calibration() is default_calibration()
+
+
+def test_calibration_file_is_read_on_every_call(tmp_path) -> None:
+    path = tmp_path / "cal.txt"
+    path.write_text(_MINIMAL)
+    assert load_calibration(path).max_distance == 51
+    path.write_text(_MINIMAL.replace("max_distance 51", "max_distance 41"))
+    assert load_calibration(path).max_distance == 41
+
+
 def test_default_calibration_cached_and_versioned() -> None:
     assert default_calibration() is default_calibration()
     assert default_calibration().version == 1
