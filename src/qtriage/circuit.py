@@ -4,11 +4,11 @@ A circuit is an ordered list of layers; a layer is an ordered list of gates
 whose qubit sets are disjoint (a parallel time slice). Values are immutable
 after construction and safe to share between workers.
 
-A circuit holds either columns (``GateColumns``: kind codes, qubit pairs,
-angles and layer offsets) or ``GateOp`` layers, and builds the other form the
-first time something asks for it. The parser produces columns in one pass
-over the text, so counting a parsed circuit builds no ``GateOp``;
-``Circuit(n, layers)`` and ``Circuit.from_gates`` start from ``GateOp``s.
+Every circuit stores its gates as read-only columns (``GateColumns``: kind
+codes, qubit pairs, angles and layer offsets), and depth, gate counts and
+gate-kind questions read them without building a ``GateOp``. ``GateOp`` layers
+are a view, built on first use and cached; ``Circuit(n, layers)`` and
+``Circuit.from_gates`` keep the layers they were handed.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import cache, reduce
 from itertools import compress, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -68,10 +68,11 @@ CLIFFORD_KINDS = frozenset(
 )
 T_KINDS = frozenset({GateKind.T, GateKind.TDG})
 AXIS_KINDS = frozenset({GateKind.U1, GateKind.RZ, GateKind.RX, GateKind.RY})
+MEASURE_KINDS = frozenset({GateKind.MEASURE})
 # Kinds a transpiled circuit may contain: the Clifford+T alphabet and measures.
 RESTRICTED_KINDS = (
     CLIFFORD_KINDS - {GateKind.X, GateKind.Y, GateKind.Z, GateKind.CZ}
-) | T_KINDS | {GateKind.MEASURE}
+) | T_KINDS | MEASURE_KINDS
 
 
 # kind -> (number of qubits, number of angles)
@@ -100,9 +101,9 @@ _KIND_BY_TOKEN = {k.value: k for k in GateKind}
 # Column kind codes: a gate's code is its kind's position in GateKind.
 KINDS: tuple[GateKind, ...] = tuple(GateKind)
 KIND_CODE = {k: code for code, k in enumerate(KINDS)}
-MEASURE_CODE = KIND_CODE[GateKind.MEASURE]
 _QUBITS_OF = np.array([_ARITY[k][0] for k in KINDS], dtype=np.int8)
 _ANGLES_OF = np.array([_ARITY[k][1] for k in KINDS], dtype=np.int8)
+_ANGLE_SLOTS = np.arange(3) < _ANGLES_OF[:, None]  # each kind's used angle slots
 
 
 def normalize_angle(theta: float) -> float:
@@ -230,18 +231,14 @@ def _layer_offsets(qubits: np.ndarray, barriers: Iterable[int]) -> np.ndarray:
     return np.array(starts + [m], dtype=np.int64)
 
 
-def _columns_of_layers(layers: tuple[tuple[GateOp, ...], ...]) -> GateColumns:
-    ops = [g for layer in layers for g in layer]
+def _columns_of_gates(
+    ops: Sequence[GateOp], qubits: np.ndarray, offsets: np.ndarray
+) -> GateColumns:
+    """Columns of gates in layer-major order, given their qubit column."""
+    kinds = np.array([KIND_CODE[g.kind] for g in ops], np.uint8)
     angles = np.zeros((len(ops), 3))
-    for row, g in enumerate(ops):
-        if g.angles:
-            angles[row, : len(g.angles)] = g.angles
-    return GateColumns(
-        np.fromiter((KIND_CODE[g.kind] for g in ops), np.uint8, len(ops)),
-        _qubit_pairs(ops),
-        angles,
-        np.cumsum([0] + [len(layer) for layer in layers], dtype=np.int64),
-    )
+    angles[_ANGLE_SLOTS[kinds]] = [a for g in ops for a in g.angles]
+    return GateColumns(kinds, qubits, angles, offsets)
 
 
 def _layers_of_columns(cols: GateColumns) -> tuple[tuple[GateOp, ...], ...]:
@@ -262,8 +259,15 @@ def _layers_of_columns(cols: GateColumns) -> tuple[tuple[GateOp, ...], ...]:
     return tuple(tuple(ops[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
+@cache
+def _kind_table(kinds: frozenset[GateKind]) -> np.ndarray:
+    """Boolean table over kind codes: True at each code of a kind in kinds."""
+    return np.array([k in kinds for k in KINDS])
+
+
 class Circuit:
-    """Immutable gate list with explicit layer structure.
+    """Immutable gate list with explicit layer structure, stored once as
+    read-only ``columns``; ``layers`` is a cached ``GateOp`` view of them.
 
     Invariants: n_qubits >= 1, every index in range, and no qubit repeated
     within a layer. ``Circuit(n, layers)`` checks them; the parser and
@@ -272,7 +276,7 @@ class Circuit:
     structurally.
     """
 
-    __slots__ = ("n_qubits", "metadata", "_layers", "_columns")
+    __slots__ = ("n_qubits", "metadata", "columns", "_layers")
 
     def __init__(
         self,
@@ -296,31 +300,24 @@ class Circuit:
                     if q in seen:
                         raise ValueError(f"qubit {q} used twice in layer {li}")
                     seen.add(q)
-        self._init(n_qubits, metadata, layers, None)
+        ops = [g for layer in layers for g in layer]
+        offsets = np.cumsum([0] + [len(layer) for layer in layers], dtype=np.int64)
+        columns = _columns_of_gates(ops, _qubit_pairs(ops), offsets)
+        self._init(n_qubits, metadata, columns, layers)
 
     def _init(
         self,
         n_qubits: int,
         metadata: str | None,
+        columns: GateColumns,
         layers: tuple[tuple[GateOp, ...], ...] | None,
-        columns: GateColumns | None,
-    ) -> None:
-        for name, value in zip(self.__slots__, (n_qubits, metadata, layers, columns)):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def _built(
-        cls,
-        n_qubits: int,
-        metadata: str | None,
-        *,
-        layers: tuple[tuple[GateOp, ...], ...] | None = None,
-        columns: GateColumns | None = None,
     ) -> "Circuit":
-        """A circuit whose invariants the caller has already established."""
-        out = object.__new__(cls)
-        out._init(n_qubits, metadata, layers, columns)
-        return out
+        """Set every slot, with the column arrays made read-only."""
+        for array in columns:
+            array.setflags(write=False)
+        for name, value in zip(self.__slots__, (n_qubits, metadata, columns, layers)):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"Circuit is immutable; cannot set {name!r}")
@@ -332,15 +329,8 @@ class Circuit:
     def layers(self) -> tuple[tuple[GateOp, ...], ...]:
         """The gates as GateOp layers, built from the columns on first use."""
         if self._layers is None:
-            object.__setattr__(self, "_layers", _layers_of_columns(self._columns))
+            object.__setattr__(self, "_layers", _layers_of_columns(self.columns))
         return self._layers
-
-    @property
-    def columns(self) -> GateColumns:
-        """The gates as arrays, built from the layers on first use."""
-        if self._columns is None:
-            object.__setattr__(self, "_columns", _columns_of_layers(self._layers))
-        return self._columns
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Circuit):
@@ -377,27 +367,38 @@ class Circuit:
         if len(ops) and qubits.max() >= n_qubits:
             q = next(q for g in ops for q in g.qubits if q >= n_qubits)
             raise ValueError(f"qubit {q} out of range for n_qubits={n_qubits}")
-        bounds = _layer_offsets(qubits, barriers).tolist()
+        offsets = _layer_offsets(qubits, barriers)
+        bounds = offsets.tolist()
         layers = tuple(tuple(ops[a:b]) for a, b in zip(bounds, bounds[1:]))
-        return Circuit._built(n_qubits, metadata, layers=layers)
+        columns = _columns_of_gates(ops, qubits, offsets)
+        return object.__new__(Circuit)._init(n_qubits, metadata, columns, layers)
 
     def gates(self) -> Iterator[GateOp]:
         """Iterate gates in layer-major order."""
         for layer in self.layers:
             yield from layer
 
+    def first_kind_outside(self, kinds: frozenset[GateKind]) -> GateKind | None:
+        """The kind of the first gate, in layer-major order, whose kind is not
+        in kinds; None if there is none."""
+        codes = self.columns.kinds
+        inside = _kind_table(kinds)[codes]
+        if inside.all():
+            return None
+        return KINDS[codes[inside.argmin()]]
+
+    def count_kinds(self, kinds: frozenset[GateKind]) -> int:
+        """The number of gates whose kind is in kinds."""
+        return int(np.count_nonzero(_kind_table(kinds)[self.columns.kinds]))
+
     @property
     def depth(self) -> int:
-        if self._columns is not None:
-            return len(self._columns.offsets) - 1
-        return len(self._layers)
+        return len(self.columns.offsets) - 1
 
     @property
     def gate_count(self) -> int:
         """Gate count m; Measure ops do not count."""
-        if self._columns is not None:
-            return int(np.count_nonzero(self._columns.kinds != MEASURE_CODE))
-        return sum(1 for g in self.gates() if not g.is_measure)
+        return len(self.columns.kinds) - self.count_kinds(MEASURE_KINDS)
 
 
 def circuit_stats(circuit: Circuit) -> dict[str, int]:
@@ -530,10 +531,8 @@ def parse_circuit(text: str) -> Circuit:
     if n_qubits is None:
         raise ParseError(1, 1, _MISSING_HEADER)
     kinds, qubits, angles = (np.concatenate(col) for col in zip(*(b[1:4] for b in blocks)))
-    offsets = _layer_offsets(qubits, barriers)
-    return Circuit._built(
-        n_qubits, metadata, columns=GateColumns(kinds, qubits, angles, offsets)
-    )
+    columns = GateColumns(kinds, qubits, angles, _layer_offsets(qubits, barriers))
+    return object.__new__(Circuit)._init(n_qubits, metadata, columns, None)
 
 
 def _parse_block(lines: list[str], first: int, n_qubits: int | None) -> _Block:

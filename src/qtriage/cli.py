@@ -21,7 +21,6 @@ from typing import Callable, Iterable, Sequence
 from .advisor import Decision, Policy, advise, advise_counts, render_report
 from .ansatz import AnsatzKind, build_ansatz, param_count
 from .circuit import (
-    CLIFFORD_KINDS,
     T_KINDS,
     TWO_PI,
     Circuit,
@@ -32,7 +31,7 @@ from .circuit import (
     render_circuit,
 )
 from .config import Config, load_config
-from .simulate import BudgetError, render_histogram, run_clifford, run_extended
+from .simulate import BRANCH_KINDS, BudgetError, render_histogram, run_clifford, run_extended
 from .surface import InfeasibleError, load_calibration, scan
 from .tableau import RegimeError
 from .transpiler import SynthesisMode, t_count, transpile
@@ -146,16 +145,14 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _config(args)
     circuit = _read_circuit(args.circuit)
-    kinds = {g.kind for g in circuit.gates() if not g.is_measure}
-    if not kinds <= CLIFFORD_KINDS | T_KINDS:
+    if circuit.first_kind_outside(BRANCH_KINDS) is not None:
         print(
             "note: lowering non-Clifford+T gates at epsilon "
             f"{cfg.epsilon:g} before simulating",
             file=sys.stderr,
         )
         circuit = transpile(circuit, cfg.epsilon, SynthesisMode.SEQUENCE).circuit
-        kinds = {g.kind for g in circuit.gates() if not g.is_measure}
-    if kinds & T_KINDS:
+    if circuit.count_kinds(T_KINDS):
         hist = run_extended(circuit, args.shots, cfg.seed, t_max=cfg.t_max)
     else:
         hist = run_clifford(circuit, args.shots, cfg.seed)
@@ -166,7 +163,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _t_value(text: str) -> int:
-    """A T-count argument: a whole number >= 0, also in float form (1e8)."""
+    """A T-count argument: a whole number in float range >= 0, also as 1e8."""
     try:
         value = int(text)  # exact past 2**53, where a float rounds
     except ValueError:
@@ -178,6 +175,8 @@ def _t_value(text: str) -> int:
         value = int(number)
     if value < 0:
         raise ValueError(f"T value {text!r} is negative")
+    if value > sys.float_info.max:
+        raise ValueError(f"T value {text!r} is past float range")
     return value
 
 
@@ -233,7 +232,7 @@ def cmd_advise(args: argparse.Namespace) -> int:
     if args.t_override is not None:
         if circuit is None and args.logical_qubits is None:
             raise ValueError("--t-override without a circuit needs --logical-qubits")
-        t = args.t_override
+        t = _t_value(str(args.t_override))
         report = advise_counts(
             t,
             t,

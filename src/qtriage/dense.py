@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .circuit import Circuit, GateKind, GateOp
+from .circuit import MEASURE_KINDS, Circuit, GateKind, GateOp
 
 MAX_DENSE_QUBITS = 12
 
@@ -188,12 +188,12 @@ def _evolve(tensor: np.ndarray, circuit: Circuit, what: str) -> np.ndarray:
     which is applied when a two-qubit gate touches the qubit or at the end.
     Measure gates are rejected with a message that ends in `what`.
     """
+    if circuit.count_kinds(MEASURE_KINDS):
+        raise ValueError(f"Measure present; {what}")
     # qubit -> its pending 2x2 as a row-major 4-tuple of Python complex,
     # which multiplies faster than a numpy 2x2
     pending: dict[int, tuple[complex, ...]] = {}
     for g in circuit.gates():
-        if g.is_measure:
-            raise ValueError(f"Measure present; {what}")
         if len(g.qubits) == 1:
             q = g.qubits[0]
             a = _FIXED_ENTRIES.get(g.kind) or tuple(gate_matrix(g).ravel().tolist())

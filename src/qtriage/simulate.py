@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .circuit import CLIFFORD_KINDS, Circuit, GateKind, GateOp
+from .circuit import CLIFFORD_KINDS, MEASURE_KINDS, T_KINDS, Circuit, GateKind, GateOp
 from .dense import apply_gate
 from .tableau import (
     MAX_TABLEAU_BYTES,
@@ -47,6 +47,11 @@ _CHUNK_BUDGET = 1 << 28
 # 0.5, 1, 2 and 4 MiB, 0.5 MiB ran the n = 10, t = 10 and t = 11 bench
 # circuits fastest on a 2-core host with 2 MiB of L2 per core.
 _SUB_BLOCK_BYTES = 1 << 19
+
+# kinds each engine runs: the tableau's Cliffords, and those plus T/Tdg
+TABLEAU_KINDS = CLIFFORD_KINDS | MEASURE_KINDS
+BRANCH_KINDS = TABLEAU_KINDS | T_KINDS
+_MAX_SAMPLED_SHOTS = int(np.iinfo(np.int64).max)  # numpy's multinomial takes int64
 
 _T_COEFFS = {
     # T = a*I + b*Z and likewise for Tdg, from diag(1, e^{+-i pi/4})
@@ -104,16 +109,6 @@ def sim_cost(n: int, m: int, t: int, epsilon: float, c: float = 1.0) -> Classica
     return ClassicalCostEstimate(Regime.EXTENDED_EXP, step, kappa, t, epsilon)
 
 
-def _check_clifford_only(circuit: Circuit) -> None:
-    for g in circuit.gates():
-        if g.is_measure or g.kind in CLIFFORD_KINDS:
-            continue
-        raise RegimeError(
-            f"{g.kind.value} is not a tableau Clifford; use run_extended for "
-            f"T gates, or transpile generic rotations first"
-        )
-
-
 def run_clifford(circuit: Circuit, shots: int, seed: int) -> dict[str, int]:
     """Histogram over measured bitstrings (measure-gate order), total = shots.
 
@@ -123,8 +118,13 @@ def run_clifford(circuit: Circuit, shots: int, seed: int) -> dict[str, int]:
     """
     if shots < 1:
         raise ValueError("shots must be positive")
-    _check_clifford_only(circuit)
-    n_meas = sum(1 for g in circuit.gates() if g.is_measure)
+    bad = circuit.first_kind_outside(TABLEAU_KINDS)
+    if bad is not None:
+        raise RegimeError(
+            f"{bad.value} is not a tableau Clifford; use run_extended for "
+            f"T gates, or transpile generic rotations first"
+        )
+    n_meas = circuit.count_kinds(MEASURE_KINDS)
     check_tableau_budget(circuit.n_qubits, n_meas)
     if n_meas == 0:
         return {"": shots}
@@ -245,19 +245,14 @@ def run_extended(
     Raises:
         BudgetError: more than t_max T gates.
         RegimeError: a gate outside Clifford + T/Tdg + Measure.
+        ValueError: more measured shots than numpy can sample.
     """
     if shots < 1:
         raise ValueError("shots must be positive")
-    t = 0
-    for g in circuit.gates():
-        if g.kind in _T_COEFFS:
-            t += 1
-        elif g.is_measure or g.kind in CLIFFORD_KINDS:
-            continue
-        else:
-            raise RegimeError(
-                f"{g.kind.value} is outside Clifford+T; transpile first"
-            )
+    bad = circuit.first_kind_outside(BRANCH_KINDS)
+    if bad is not None:
+        raise RegimeError(f"{bad.value} is outside Clifford+T; transpile first")
+    t = circuit.count_kinds(T_KINDS)
     if t > t_max:
         raise BudgetError(
             f"t={t} exceeds t_max={t_max}: extended simulation cost doubles "
@@ -276,6 +271,10 @@ def run_extended(
             f"extended engine needs {n_eff} dense qubits (with deferred "
             f"measures): one branch state takes {16 * dim} bytes, past the "
             f"{_CHUNK_BUDGET}-byte budget"
+        )
+    if readout and shots > _MAX_SAMPLED_SHOTS:
+        raise ValueError(
+            f"sampling {shots} shots is past numpy's {_MAX_SAMPLED_SHOTS}-shot limit"
         )
     branches = 1 << t
     chunk = max(1, min(branches, _CHUNK_BUDGET // (16 * dim)))

@@ -20,7 +20,7 @@ from .circuit import (
     AXIS_KINDS,
     KIND_CODE,
     KINDS,
-    MEASURE_CODE,
+    MEASURE_KINDS,
     RESTRICTED_KINDS,
     T_KINDS,
     Circuit,
@@ -342,9 +342,9 @@ class TranspiledCircuit:
     approx_rotations: int
 
     def __post_init__(self) -> None:
-        for g in self.circuit.gates():
-            if g.kind not in RESTRICTED_KINDS:
-                raise ValueError(f"unexpected kind {g.kind.value} after lowering")
+        bad = self.circuit.first_kind_outside(RESTRICTED_KINDS)
+        if bad is not None:
+            raise ValueError(f"unexpected kind {bad.value} after lowering")
 
 
 def transpile(
@@ -433,7 +433,7 @@ def t_count(
         plan = _factor_plan(cols.kinds[rows], cols.angles[rows])
         exact_t[rows], generic[rows] = plan.exact_t, plan.generic
     hot = exact_t + generic > 0
-    clifford_count = int(np.count_nonzero(~hot & (cols.kinds != MEASURE_CODE)))
+    clifford_count = int(np.count_nonzero(~hot)) - circuit.count_kinds(MEASURE_KINDS)
     # the price of a generic factor; the epsilon check only runs when one is priced
     cost = 0
     if generic.any():

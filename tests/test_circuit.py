@@ -12,7 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from qtriage import circuit as circuit_module
 from qtriage.circuit import (
+    CLIFFORD_KINDS,
     KIND_CODE,
+    MEASURE_KINDS,
+    RESTRICTED_KINDS,
+    T_KINDS,
     Circuit,
     GateKind,
     GateOp,
@@ -25,7 +29,13 @@ from qtriage.circuit import (
     render_circuit,
 )
 
-from conftest import circuit_texts, random_mixed_circuit, reference_parse_circuit
+from conftest import (
+    circuit_texts,
+    random_clifford_circuit,
+    random_low_t_circuit,
+    random_mixed_circuit,
+    reference_parse_circuit,
+)
 
 
 def test_parse_basic() -> None:
@@ -265,3 +275,66 @@ def test_parsed_circuit_builds_gates_on_demand() -> None:
     assert np.array_equal(rebuilt.columns.angles, cols.angles)
     with pytest.raises(AttributeError):
         c.n_qubits = 4
+
+
+WIDE = 99999999999999999999999  # a qubit count past int64
+
+
+def test_kind_questions_match_a_gate_walk() -> None:
+    rng = random.Random(22)
+    wide = parse_circuit(
+        f"qubits {WIDE}\nh {WIDE - 1}\nt 0\nmeasure {WIDE - 1}\ncnot 0 {WIDE - 1}\n"
+    )
+    circuits = [
+        Circuit(1),
+        Circuit.from_gates(2, []),
+        parse_circuit("qubits 1\n"),
+        wide,
+        Circuit(WIDE, wide.layers),
+        Circuit.from_gates(
+            WIDE, [gate("s", WIDE - 1), gate("measure", 0), gate("rz", WIDE - 1, angles=[0.3])]
+        ),
+    ]
+    for _ in range(15):
+        n = rng.randint(1, 5)
+        for c in (
+            random_mixed_circuit(rng, n, rng.randint(1, 30)),
+            random_clifford_circuit(rng, n, rng.randint(2, 30), mid_measures=rng.randint(0, 3)),
+            random_low_t_circuit(rng, n, rng.randint(2, 30), rng.randint(0, 5), mid_measures=1),
+        ):
+            circuits += [c, parse_circuit(render_circuit(c)), Circuit(n, c.layers)]
+    kind_sets = [CLIFFORD_KINDS, T_KINDS, MEASURE_KINDS, RESTRICTED_KINDS]
+    kind_sets += [frozenset(), frozenset(GateKind)]
+    kind_sets += [frozenset(rng.sample(list(GateKind), rng.randint(1, 16))) for _ in range(10)]
+    for c in circuits:
+        walk = [g.kind for g in c.gates()]
+        for kinds in kind_sets:
+            assert c.first_kind_outside(kinds) == next((k for k in walk if k not in kinds), None)
+            assert c.count_kinds(kinds) == sum(k in kinds for k in walk)
+
+
+def test_columns_are_read_only() -> None:
+    parsed = parse_circuit("qubits 2\nh 0\nmeasure 1\n")
+    for c in (parsed, Circuit.from_gates(2, parsed.gates()), Circuit(2, parsed.layers)):
+        for array in c.columns:
+            with pytest.raises(ValueError):
+                array[0] = array[0]
+        with pytest.raises(ValueError):
+            c.columns.kinds[1] = KIND_CODE[GateKind.H]
+        assert c.gate_count == 1
+
+
+def test_handed_layers_are_kept_and_parsed_layers_built_once(monkeypatch) -> None:
+    built: list[object] = []
+    layers_of = circuit_module._layers_of_columns
+    monkeypatch.setattr(
+        circuit_module, "_layers_of_columns", lambda cols: built.append(cols) or layers_of(cols)
+    )
+    ops = [gate("h", 0), gate("cnot", 0, 1), gate("measure", 1)]
+    c = Circuit.from_gates(2, ops)
+    assert list(c.gates()) == ops
+    assert Circuit(2, c.layers).layers == c.layers
+    assert built == []
+    parsed = parse_circuit(render_circuit(c))
+    assert parsed.layers is parsed.layers and parsed == c
+    assert len(built) == 1

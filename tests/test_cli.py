@@ -316,6 +316,35 @@ def test_advise_usage_errors(capsys) -> None:
     assert code == 2 and "--logical-qubits" in err
 
 
+BIG_T = "1" + "0" * 400  # past float range
+
+
+@pytest.mark.parametrize(
+    "argv, why",
+    [
+        (("advise", "--t-override", "-5", "--logical-qubits", "5"), "'-5' is negative"),
+        (
+            ("advise", "--t-override", BIG_T, "--logical-qubits", "5"),
+            f"{BIG_T!r} is past float range",
+        ),
+        (("estimate", "-q", "5", "-t", BIG_T), f"{BIG_T!r} is past float range"),
+    ],
+)
+def test_out_of_range_t_values_exit_2_on_both_flags(capsys, argv, why) -> None:
+    code, out, err = _run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: T value {why}\n")
+
+
+@pytest.mark.parametrize(
+    "text", [BELL, "qubits 2\nh 0\nt 0\ncnot 0 1\nmeasure 0\nmeasure 1\n"]
+)
+def test_unsampleable_shot_counts_exit_2(capsys, tmp_path, text) -> None:
+    path = _circuit_file(tmp_path, text)
+    code, out, err = _run(capsys, "simulate", path, "--shots", str(2**63))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"{2**63} shots" in err
+
+
 # --- diagnostics and configuration ------------------------------------------
 
 

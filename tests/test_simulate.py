@@ -19,6 +19,7 @@ from qtriage.simulate import (
     run_extended,
     sim_cost,
 )
+from qtriage.transpiler import TranspiledCircuit
 
 from conftest import (
     exact_distribution,
@@ -288,3 +289,33 @@ def test_sim_cost_validation() -> None:
 def test_render_histogram_sorted() -> None:
     assert render_histogram({"11": 5, "00": 3}) == "00 3\n11 5\n"
     assert render_histogram({}) == ""
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [("rz(0.3)", "t"), ("t", "rz(0.3)"), ("ry(0.3)", "rz(0.3)"), ("rz(0.3)", "ry(0.3)")],
+)
+def test_regime_errors_name_the_first_offending_gate(first: str, second: str) -> None:
+    c = parse_circuit(f"qubits 2\nh 0\n{first} 1\nlayer\ncnot 0 1\n{second} 0\nmeasure 0\n")
+    names = [first.split("(")[0], second.split("(")[0]]
+    with pytest.raises(RegimeError, match=f"^{names[0]} is not a tableau Clifford;"):
+        run_clifford(c, 10, seed=0)
+    rotation = next(name for name in names if name != "t")
+    with pytest.raises(RegimeError, match=f"^{rotation} is outside Clifford\\+T;"):
+        run_extended(c, 10, seed=0)
+    with pytest.raises(ValueError, match=f"^unexpected kind {rotation} after lowering$"):
+        TranspiledCircuit(c, (), 0.0, 0)
+
+
+def test_unsampleable_shot_counts_are_refused(monkeypatch) -> None:
+    t_circuit = parse_circuit("qubits 2\nh 0\nt 0\ncnot 0 1\nmeasure 0\nmeasure 1\n")
+    assert sum(run_extended(t_circuit, 2**63 - 1, seed=0).values()) == 2**63 - 1
+    with pytest.raises(ValueError, match="^sampling 9223372036854775808 shots"):
+        run_clifford(parse_circuit(GHZ), 2**63, seed=0)
+
+    def evolved(*args: object) -> None:
+        raise AssertionError("the branch engine evolved a state")
+
+    monkeypatch.setattr(simulate, "_evolve_branches", evolved)
+    with pytest.raises(ValueError, match="^sampling 9223372036854775808 shots is past"):
+        run_extended(t_circuit, 2**63, seed=0)
