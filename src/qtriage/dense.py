@@ -4,11 +4,15 @@ This is the reference semantics the simulators and the transpiler are tested
 against. Sizes are capped (n <= 12 for unitary_of) since the build is dense.
 
 `apply_gate` is the one gate-apply kernel; the branch engine in `simulate`
-applies its Clifford gates with it too, on a leading branch axis. X, Y, Z, S,
+applies its Clifford gates with it too, on a trailing branch axis. X, Y, Z, S,
 SDG, CNOT and CZ are slice swaps and +-1 or +-1j multiplies, done in place on
 a contiguous array: every product is exact, so the result is bit-identical to
-the matrix product (up to the sign of a zero). Every other kind is one
-tensordot with its matrix, whose result is made contiguous again.
+the matrix product (up to the sign of a zero). H is done in place too, as a
+sum and a difference of the qubit's two halves, each scaled by 1/sqrt(2).
+That rounds differently from the matrix product (by up to a few ulps), but
+every element is computed alike whatever the array's shape, with no BLAS
+call. Every other kind is one tensordot with its matrix, whose result is
+made contiguous again.
 
 `statevector` and `unitary_of` share one pass, `_evolve`, which multiplies
 each run of single-qubit gates on a qubit into one 2x2 and applies it when a
@@ -147,8 +151,8 @@ def apply_gate(tensor: np.ndarray, g: GateOp, first: int = 0) -> np.ndarray:
     """Apply one gate to an array whose qubit axes start at axis `first`.
 
     Qubit 0 is axis `first` (the leftmost bit of a printed bitstring). Axes
-    before `first` (a batch of branches) and after the qubit axes (the flat
-    input of a unitary) are carried through unchanged.
+    before `first` and after the qubit axes (the branch engine's branches, or
+    the flat input of a unitary) are carried through unchanged.
 
     A contiguous complex input may be overwritten: use the returned array,
     not the argument, after the call.
@@ -176,6 +180,15 @@ def apply_gate(tensor: np.ndarray, g: GateOp, first: int = 0) -> np.ndarray:
             _swap(v[:, 1, :, 0], v[:, 1, :, 1])
         else:
             _swap(v[:, 0, :, 1], v[:, 1, :, 1])
+    elif k is GateKind.H:
+        # on the real and imaginary parts, so each element is rounded alike
+        # whatever the array's shape: a = (a + b)/sqrt2, b = (a - b)/sqrt2
+        v = _split(tensor, axes[0]).view(np.float64)
+        a, b = v[:, 0], v[:, 1]
+        held = np.add(a, b)
+        np.subtract(a, b, out=b)
+        np.multiply(held, _SQRT1_2, out=a)
+        b *= _SQRT1_2
     else:
         tensor = _apply_matrix(tensor, gate_matrix(g), axes)
     return tensor

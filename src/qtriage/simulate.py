@@ -12,7 +12,9 @@ run_extended: exact dense expansion of each T gate into two Clifford branches
 recombined amplitudes. Deliberately the naive expansion; the 2^t growth is
 the point. Branches are evolved in sub-blocks of 512 KiB that run every
 gate before the next sub-block starts, so each sub-block stays in cache while
-`dense.apply_gate` updates its Clifford gates in place.
+`dense.apply_gate` updates its Clifford gates in place. Inside a sub-block the
+branch axis comes last, so every slice a gate touches is a run of whole rows
+of branches, and a T gate's Z term is a +-1 vector over that axis.
 
 Shots and branches are embarrassingly parallel; a Tableau instance itself
 must never be shared between concurrent workers.
@@ -205,25 +207,27 @@ def _defer_measures(
 
 
 def _evolve_branches(ids: np.ndarray, stream: list[GateOp], n_eff: int) -> np.ndarray:
-    """Final states of the branches numbered `ids`, shape (len(ids), 2, ..., 2).
+    """Final states of the branches numbered `ids`, shape (len(ids), 2**n_eff).
 
     Bit j of a branch's number picks the Z term of the stream's j-th T gate,
     so `ids` must be the global numbers, not positions in a sub-block.
     """
-    # axis 0 is the branch, qubit q is axis q+1
-    states = np.zeros((len(ids),) + (2,) * n_eff, dtype=complex)
-    states[(slice(None),) + (0,) * n_eff] = 1.0
+    # qubit q is axis q; the branch axis is last
+    states = np.zeros((2,) * n_eff + (len(ids),), dtype=complex)
+    states[(0,) * n_eff] = 1.0
     t_seen = 0
     for g in stream:
         if g.kind in _T_COEFFS:
-            branch_bit = ((ids >> t_seen) & 1).astype(bool)
+            branch_bit = (ids >> t_seen) & 1
             t_seen += 1
             if branch_bit.any():
-                # the Z branch flips the sign of the |1> half of the T qubit
-                states[(branch_bit,) + (slice(None),) * g.qubits[0] + (1,)] *= -1.0
+                # the Z branch flips the sign of the |1> half of the T qubit:
+                # real and imaginary parts times +-1 per branch
+                parts = states.view(np.float64).reshape(1 << g.qubits[0], 2, -1, len(ids), 2)
+                parts[:, 1] *= (1.0 - 2.0 * branch_bit)[:, None]
         else:
-            states = apply_gate(states, g, first=1)
-    return states
+            states = apply_gate(states, g)
+    return states.reshape(-1, len(ids)).T
 
 
 def run_extended(
@@ -292,8 +296,7 @@ def run_extended(
             weights = np.where(branch_bit, weights * b_coef, weights * a_coef)
         block = np.empty((len(ids), dim), dtype=complex)
         for s in range(0, len(ids), sub):
-            states = _evolve_branches(ids[s : s + sub], stream, n_eff)
-            block[s : s + sub] = states.reshape(-1, dim)
+            block[s : s + sub] = _evolve_branches(ids[s : s + sub], stream, n_eff)
         psi += weights @ block
         processed += len(ids)
     assert processed == branches, "branch count must be exactly 2^t"

@@ -215,6 +215,22 @@ def test_in_place_kinds_equal_the_matrix_product_bit_for_bit(first: int) -> None
             assert np.array_equal(got, want), (kind, qubits)
 
 
+@pytest.mark.parametrize("first", [0, 1])
+def test_in_place_h_matches_the_matrix_product(first: int) -> None:
+    # elementwise sums and scalings round differently from the product, so
+    # close rather than equal; amplitudes in the unit square keep the
+    # rounding of both well under 1e-15
+    n = 4
+    shape = (3,) * first + (2,) * n + (5,)
+    rng = np.random.default_rng(10 + first)
+    block = rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
+    for q in range(n):
+        g = gate("h", q)
+        got = apply_gate(block.copy(), g, first=first)
+        want = matrix_product_apply(block, g, first=first)
+        assert np.abs(got - want).max() <= 1e-15, q
+
+
 def test_apply_gate_returns_contiguous_arrays() -> None:
     tensor = np.ones((3, 2, 2, 2), dtype=complex)
     for g in (gate("h", 1), gate("ry", 2, angles=[0.3]), gate("x", 0), gate("cnot", 2, 0)):

@@ -5,12 +5,15 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
-from qtriage import simulate
+from qtriage import dense, simulate
 from qtriage.cli import _low_t_circuit
-from qtriage.circuit import Circuit, GateKind, gate, parse_circuit
+from qtriage.circuit import T_KINDS, Circuit, GateKind, GateOp, gate, parse_circuit
+from qtriage.dense import statevector
 from qtriage.simulate import (
+    BRANCH_KINDS,
     BudgetError,
     Regime,
     RegimeError,
@@ -239,6 +242,71 @@ def test_sub_block_size_does_not_change_bench_histograms(monkeypatch) -> None:
     for t in (8, 9, 10):
         one, three, default = _histograms_by_sub_block(monkeypatch, _low_t_circuit(10, t, t), 0)
         assert one == three == default, t
+
+
+def _oracle_rows(stream: list[GateOp], n_eff: int, t: int) -> np.ndarray:
+    """Row b: the statevector of `stream` with its j-th T gate made I or Z by
+    bit j of b."""
+    rows = []
+    for b in range(1 << t):
+        ops, j = [], 0
+        for g in stream:
+            if g.kind in T_KINDS:
+                if (b >> j) & 1:
+                    ops.append(GateOp(GateKind.Z, g.qubits))
+                j += 1
+            else:
+                ops.append(g)
+        rows.append(statevector(Circuit.from_gates(n_eff, ops)))
+    return np.array(rows)
+
+
+def _assert_branch_rows_match_oracle(c: Circuit) -> None:
+    n_eff, stream, _ = simulate._defer_measures(c)
+    t = c.count_kinds(T_KINDS)
+    want = _oracle_rows(stream, n_eff, t)
+    ids = np.arange(1 << t, dtype=np.int64)
+    default = max(1, simulate._SUB_BLOCK_BYTES // (16 << n_eff))
+    for sub in (1, 3, default):
+        got = np.concatenate(
+            [simulate._evolve_branches(ids[s : s + sub], stream, n_eff) for s in range(0, len(ids), sub)]
+        )
+        assert got.shape == want.shape, sub
+        assert np.abs(got - want).max() <= 1e-12, sub
+
+
+@pytest.mark.parametrize("t", range(4, 9))
+def test_branch_rows_equal_the_dense_oracle_on_bench_circuits(t: int) -> None:
+    _assert_branch_rows_match_oracle(_low_t_circuit(10, t, t))
+
+
+def test_branch_rows_equal_the_dense_oracle_with_mid_circuit_measures() -> None:
+    rng = random.Random(808)
+    for _ in range(12):
+        # two mid-circuit measures, whose ancillas widen n_eff
+        c = random_low_t_circuit(rng, rng.randint(2, 6), rng.randint(5, 40), rng.randint(1, 6), mid_measures=2)
+        _assert_branch_rows_match_oracle(c)
+
+
+def test_branch_engine_runs_without_blas(monkeypatch) -> None:
+    # every kind the branch engine takes, with a mid-circuit measure on a
+    # qubit used again; the oracle runs before the matrix paths are cut off
+    ops = [gate("h", 0), gate("t", 0), gate("cnot", 0, 1), gate("h", 2), gate("tdg", 2)]
+    ops += [gate("cz", 2, 1), gate("s", 1), gate("sdg", 2), gate("x", 0), gate("y", 1)]
+    ops += [gate("z", 2), gate("measure", 0), gate("h", 0), gate("t", 1), gate("cnot", 1, 0)]
+    ops += [gate("measure", q) for q in range(3)]
+    c = Circuit.from_gates(3, ops)
+    assert {g.kind for g in c.gates()} == BRANCH_KINDS
+    exact = exact_distribution(c)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("matrix product in the branch engine")
+
+    monkeypatch.setattr(np, "tensordot", refuse)
+    monkeypatch.setattr(dense, "_apply_matrix", refuse)
+    shots = 50_000
+    hist = run_extended(c, shots, seed=4)
+    assert tv_distance(exact, hist, shots) <= 0.02
 
 
 def test_extended_deterministic_per_seed() -> None:
